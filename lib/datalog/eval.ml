@@ -5,7 +5,6 @@ module Relation = Qf_relational.Relation
 module Index = Qf_relational.Index
 module Catalog = Qf_relational.Catalog
 module Statistics = Qf_relational.Statistics
-module Layout = Qf_relational.Layout
 module Dict = Qf_relational.Dict
 module Chunkrel = Qf_relational.Chunkrel
 module Buf = Chunkrel.Buf
@@ -31,101 +30,39 @@ let relation_for catalog (a : Ast.atom) =
     rel
 
 module Envs = struct
-  (* [slots] maps a binding key to its column in every row; rows all have
-     width [List.length slots].
+  (* All environments live in one flat dictionary-code array of stride
+     [width] ([count * width] ints); [slots] maps a binding key to its
+     column in every row.  Binding extension probes the {!Index.t} chains
+     directly over code arrays, filters compare codes, and parallel steps
+     emit per-chunk {!Chunkrel.Buf}s merged by a single blit — no per-row
+     boxing anywhere on the hot path. *)
+  type t = {
+    slots : (string * int) list;
+    width : int;
+    count : int;
+    data : int array;
+  }
 
-     Two physical engines share the interface, picked by {!Layout.mode}
-     at {!start}:
-
-     - [Vals]: one boxed [Value.t array] per environment (the original
-       representation) — rows are what the row-mode kernels consume.
-     - [Codes]: all environments in one flat dictionary-code array of
-       stride [width] ([count * width] ints).  Binding extension probes
-       the {!Index.code_index} chains directly over code arrays, filters
-       compare codes, and parallel steps emit per-chunk {!Chunkrel.Buf}s
-       merged by a single blit — no per-row boxing anywhere on the hot
-       path. *)
-  type repr =
-    | Vals of Value.t array list
-    | Codes of { width : int; count : int; data : int array }
-
-  type t = { slots : (string * int) list; repr : repr }
-
-  let start () =
-    let repr =
-      match Layout.mode () with
-      | Layout.Columnar -> Codes { width = 0; count = 1; data = [||] }
-      | Layout.Row -> Vals [ [||] ]
-    in
-    { slots = []; repr }
-
+  let start () = { slots = []; width = 0; count = 1; data = [||] }
   let bound_keys t = List.map fst t.slots
-
-  let count t =
-    match t.repr with
-    | Vals rows -> List.length rows
-    | Codes { count; _ } -> count
-
+  let count t = t.count
   let slot_of t key = List.assoc_opt key t.slots
 
-  (* {2 Parallel row fan-out}
+  (* A step produces per-chunk [Buf]s (each an [(emitted rows) * stride]
+     run of codes) and merges them with one pre-sized allocation and
+     [Array.blit] per chunk — the merge never boxes a row. *)
+  let merge_code_chunks slots ~width pieces =
+    {
+      slots;
+      width;
+      count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces;
+      data = Buf.concat (List.map snd pieces);
+    }
 
-     The environment list is the evaluator's working set; binding
-     extension and the row filters are embarrassingly parallel over it.
-     Each chunk emits its slice in input order and the chunks are
-     concatenated in order, so the resulting row list is *identical* to
-     the sequential one — not merely equal as a set. *)
-
-  let par_concat_map f rows =
-    let pool = Pool.default () in
-    let n = List.length rows in
-    if Pool.size pool = 1 || n < Pool.par_threshold () then
-      List.concat_map f rows
-    else begin
-      let arr = Array.of_list rows in
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            acc := f arr.(i) @ !acc
-          done;
-          !acc)
-      |> List.concat
-    end
-
-  let par_filter pred rows =
-    let pool = Pool.default () in
-    let n = List.length rows in
-    if Pool.size pool = 1 || n < Pool.par_threshold () then
-      List.filter pred rows
-    else begin
-      let arr = Array.of_list rows in
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            if pred arr.(i) then acc := arr.(i) :: !acc
-          done;
-          !acc)
-      |> List.concat
-    end
-
-  (* {2 Code-engine helpers}
-
-     A [Codes] step produces per-chunk [Buf]s (each an [(emitted rows) *
-     stride] run of codes) and merges them with one pre-sized allocation
-     and [Array.blit] per chunk — the merge never boxes a row. *)
-
-  let merge_code_chunks ~width pieces =
-    let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
-    let data = Array.make (count * width) 0 in
-    let pos = ref 0 in
-    List.iter (fun (_, b) -> pos := Buf.blit_into b data !pos) pieces;
-    Codes { width; count; data }
-
-  (* [filter_codes mk_pred ~width ~count ~data] keeps the rows satisfying
-     the predicate ([mk_pred ()] is called once per chunk so predicates
-     may own scratch buffers; the predicate receives the row's base
-     offset). *)
-  let filter_codes mk_pred ~width ~count ~data =
+  (* [filter_codes mk_pred t] keeps the rows satisfying the predicate
+     ([mk_pred ()] is called once per chunk so predicates may own scratch
+     buffers; the predicate receives the row's base offset). *)
+  let filter_codes mk_pred { slots; width; count; data } =
     let run ~lo ~hi =
       let pred = mk_pred () in
       let out = Buf.create ((hi - lo) * width) in
@@ -145,21 +82,7 @@ module Envs = struct
         [ run ~lo:0 ~hi:count ]
       else Pool.run_chunks pool ~n:count run
     in
-    merge_code_chunks ~width pieces
-
-  (* Chain-walk membership over a full-arity code index: does any row of
-     the indexed chunk match the probe codes exactly? *)
-  let code_mem (ci : Index.code_index) probe =
-    let nkeys = Array.length probe in
-    let h = Chunkrel.hash_codes probe in
-    let rec keys_eq row k =
-      k >= nkeys
-      || Array.unsafe_get (Array.unsafe_get ci.key_cols k) row
-         = Array.unsafe_get probe k
-         && keys_eq row (k + 1)
-    in
-    let rec walk j = j >= 0 && (keys_eq j 0 || walk ci.next.(j)) in
-    walk ci.heads.(h land ci.mask)
+    merge_code_chunks slots ~width pieces
 
   (* A term as seen by the code engine: a pre-encoded constant or a slot
      offset into the current row. *)
@@ -172,11 +95,10 @@ module Envs = struct
       | None -> errorf "unbound %s in non-positive subgoal" key)
 
   (* A transient full-arity code index for membership filtering.  Built
-     with [Index.build] directly — NOT through the catalog cache — so the
-     [index_cache] hit/miss counters stay identical to row mode, where
-     membership goes through [Relation.mem] and never touches the cache. *)
+     with [Index.build] directly — NOT through the catalog cache — so
+     membership tests move no [index_cache] hit/miss counters. *)
   let membership_index rel =
-    Index.code_index (Index.build rel (List.init (Relation.arity rel) Fun.id))
+    Index.build rel (List.init (Relation.arity rel) Fun.id)
 
   (* How each argument position of an atom is consumed given current slots:
      part of the lookup key, a fresh binding, or an intra-tuple check
@@ -221,9 +143,8 @@ module Envs = struct
 
      Rejections are totted up in one atomic and flushed as a single
      [sip.rows_pruned] count: the set of key-matched candidates examined
-     is the same in both layouts and under any chunking, so the total is
-     deterministic across layouts and pool sizes (the invariant the
-     differential suite pins down). *)
+     is the same under any chunking, so the total is deterministic across
+     pool sizes (the invariant the differential suite pins down). *)
   let extend_pos ?(sip = []) catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
     let roles, fresh_keys = analyze_args t a in
@@ -239,17 +160,9 @@ module Envs = struct
     (* Memoized through the catalog: FILTER steps, optimizer probes and
        repeated runs against the same stored relations all share built
        indexes (invalidated by relation version). *)
-    let idx = Catalog.index catalog rel key_positions in
-    let width = List.length t.slots in
+    let ci = Catalog.index catalog rel key_positions in
+    let { width; count; data; _ } = t in
     let new_width = width + List.length fresh_keys in
-    let key_builders =
-      List.filter_map
-        (function
-          | Key_const v -> Some (fun (_ : Value.t array) -> v)
-          | Key_slot s -> Some (fun (row : Value.t array) -> row.(s))
-          | Bind_new | Check_new _ -> None)
-        roles
-    in
     (* For each matching tuple: positions to copy into new slots, and
        positions to check for intra-tuple repeated fresh variables. *)
     let fills = ref [] and checks = ref [] in
@@ -280,149 +193,99 @@ module Envs = struct
     let slots =
       t.slots @ List.mapi (fun i key -> key, width + i) fresh_keys
     in
-    let result =
-      match t.repr with
-    | Vals rows ->
-      let extend_row row =
-        let key = Tuple.of_list (List.map (fun f -> f row) key_builders) in
-        List.filter_map
-          (fun tup ->
-            let fresh_values = List.map (Tuple.get tup) fills in
-            let ok =
-              List.for_all
-                (fun (pos, i) ->
-                  Value.equal (Tuple.get tup pos) (List.nth fresh_values i))
-                checks
-            in
-            if not ok then None
-            else if
-              not
-                (List.for_all
-                   (fun (i, s) -> Sip.mem_value s (List.nth fresh_values i))
-                   sip_checks)
-            then begin
-              reject ();
-              None
-            end
-            else begin
-              let row' = Array.make new_width (Value.Int 0) in
-              Array.blit row 0 row' 0 width;
-              List.iteri (fun i v -> row'.(width + i) <- v) fresh_values;
-              Some row'
-            end)
-          (Index.lookup idx key)
-      in
-      { slots; repr = Vals (par_concat_map extend_row rows) }
-    | Codes { width = w; count; data } ->
-      assert (w = width);
-      (* Everything below runs over flat code arrays.  The probe key for
-         an environment is its slot codes plus pre-encoded constant codes,
-         hashed exactly as the index hashed its key columns
-         ([Chunkrel.hash_codes] = [Chunkrel.hash_key] for equal keys). *)
-      let ci = Index.code_index idx in
-      let key_specs =
-        Array.of_list
-          (List.filter_map
-             (function
-               | Key_const v -> Some (`Const (Dict.encode v))
-               | Key_slot s -> Some (`Slot s)
-               | Bind_new | Check_new _ -> None)
-             roles)
-      in
-      let nkeys = Array.length key_specs in
-      let chunk_cols = ci.Index.chunk.Chunkrel.cols in
-      let fill_cols =
-        Array.of_list (List.map (fun pos -> chunk_cols.(pos)) fills)
-      in
-      let n_fresh = Array.length fill_cols in
-      (* An intra-tuple repeat check compares two columns of the *same*
-         candidate row, so it needs no per-row fresh-value staging. *)
-      let check_pairs =
-        Array.of_list
-          (List.map
-             (fun (pos, i) -> chunk_cols.(pos), fill_cols.(i))
-             checks)
-      in
-      let nchecks = Array.length check_pairs in
-      let sip_cols =
-        Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
-      in
-      let nsips = Array.length sip_cols in
-      let run ~lo ~hi =
-        let out = Buf.create ((hi - lo) * new_width) in
-        let emitted = ref 0 in
-        let probe = Array.make nkeys 0 in
-        for r = lo to hi - 1 do
-          let base = r * width in
-          for k = 0 to nkeys - 1 do
-            probe.(k) <-
-              (match Array.unsafe_get key_specs k with
-              | `Const c -> c
-              | `Slot s -> Array.unsafe_get data (base + s))
-          done;
-          let h = Chunkrel.hash_codes probe in
-          let j = ref ci.Index.heads.(h land ci.Index.mask) in
-          while !j >= 0 do
-            let row = !j in
-            let rec keys_eq k =
-              k >= nkeys
-              || Array.unsafe_get
-                   (Array.unsafe_get ci.Index.key_cols k)
-                   row
-                 = Array.unsafe_get probe k
-                 && keys_eq (k + 1)
-            in
-            let rec checks_ok c =
-              c >= nchecks
-              ||
-              let ca, cb = Array.unsafe_get check_pairs c in
-              Array.unsafe_get ca row = Array.unsafe_get cb row
-              && checks_ok (c + 1)
-            in
-            let rec sip_ok k =
-              k >= nsips
-              ||
-              let col, s = Array.unsafe_get sip_cols k in
-              Sip.mem s (Array.unsafe_get col row) && sip_ok (k + 1)
-            in
-            if keys_eq 0 && checks_ok 0 then begin
-              if sip_ok 0 then begin
-                incr emitted;
-                for c = 0 to width - 1 do
-                  Buf.push out (Array.unsafe_get data (base + c))
-                done;
-                for k = 0 to n_fresh - 1 do
-                  Buf.push out
-                    (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
-                done
-              end
-              else reject ()
-            end;
-            j := ci.Index.next.(row)
-          done
-        done;
-        !emitted, out
-      in
-      let pool = Pool.default () in
-      let pieces =
-        if Pool.size pool = 1 || count < Pool.par_threshold () then
-          [ run ~lo:0 ~hi:count ]
-        else Pool.run_chunks pool ~n:count run
-      in
-      { slots; repr = merge_code_chunks ~width:new_width pieces }
+    (* The probe key for an environment is its slot codes plus pre-encoded
+       constant codes, hashed exactly as the index hashed its key columns
+       ([Chunkrel.hash_codes] = [Chunkrel.hash_key] for equal keys). *)
+    let key_specs =
+      Array.of_list
+        (List.filter_map
+           (function
+             | Key_const v -> Some (`Const (Dict.encode v))
+             | Key_slot s -> Some (`Slot s)
+             | Bind_new | Check_new _ -> None)
+           roles)
     in
+    let nkeys = Array.length key_specs in
+    let chunk_cols = ci.Index.chunk.Chunkrel.cols in
+    let fill_cols =
+      Array.of_list (List.map (fun pos -> chunk_cols.(pos)) fills)
+    in
+    let n_fresh = Array.length fill_cols in
+    (* An intra-tuple repeat check compares two columns of the *same*
+       candidate row, so it needs no per-row fresh-value staging. *)
+    let check_pairs =
+      Array.of_list
+        (List.map (fun (pos, i) -> chunk_cols.(pos), fill_cols.(i)) checks)
+    in
+    let nchecks = Array.length check_pairs in
+    let sip_cols =
+      Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
+    in
+    let nsips = Array.length sip_cols in
+    let run ~lo ~hi =
+      let out = Buf.create ((hi - lo) * new_width) in
+      let emitted = ref 0 in
+      let probe = Array.make nkeys 0 in
+      for r = lo to hi - 1 do
+        let base = r * width in
+        for k = 0 to nkeys - 1 do
+          probe.(k) <-
+            (match Array.unsafe_get key_specs k with
+            | `Const c -> c
+            | `Slot s -> Array.unsafe_get data (base + s))
+        done;
+        let h = Chunkrel.hash_codes probe in
+        let j = ref ci.Index.heads.(h land ci.Index.mask) in
+        while !j >= 0 do
+          let row = !j in
+          let rec keys_eq k =
+            k >= nkeys
+            || Array.unsafe_get (Array.unsafe_get ci.Index.key_cols k) row
+               = Array.unsafe_get probe k
+               && keys_eq (k + 1)
+          in
+          let rec checks_ok c =
+            c >= nchecks
+            ||
+            let ca, cb = Array.unsafe_get check_pairs c in
+            Array.unsafe_get ca row = Array.unsafe_get cb row
+            && checks_ok (c + 1)
+          in
+          let rec sip_ok k =
+            k >= nsips
+            ||
+            let col, s = Array.unsafe_get sip_cols k in
+            Sip.mem s (Array.unsafe_get col row) && sip_ok (k + 1)
+          in
+          if keys_eq 0 && checks_ok 0 then begin
+            if sip_ok 0 then begin
+              incr emitted;
+              for c = 0 to width - 1 do
+                Buf.push out (Array.unsafe_get data (base + c))
+              done;
+              for k = 0 to n_fresh - 1 do
+                Buf.push out
+                  (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
+              done
+            end
+            else reject ()
+          end;
+          j := ci.Index.next.(row)
+        done
+      done;
+      !emitted, out
+    in
+    let pool = Pool.default () in
+    let pieces =
+      if Pool.size pool = 1 || count < Pool.par_threshold () then
+        [ run ~lo:0 ~hi:count ]
+      else Pool.run_chunks pool ~n:count run
+    in
+    let result = merge_code_chunks slots ~width:new_width pieces in
     (match rejects with
     | Some r -> Obs.count "sip.rows_pruned" (Atomic.get r)
     | None -> ());
     result
-
-  let term_getter t = function
-    | Ast.Const v -> fun (_ : Value.t array) -> v
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> fun row -> row.(s)
-      | None -> errorf "unbound %s in non-positive subgoal" key)
 
   (* [specs] as per {!code_spec}; builds a per-chunk closure that writes
      the instantiated code tuple into its own scratch array. *)
@@ -441,57 +304,30 @@ module Envs = struct
         scratch
 
   let filter_neg catalog t (a : Ast.atom) =
-    let rel = relation_for catalog a in
-    match t.repr with
-    | Vals rows ->
-      let getters = List.map (term_getter t) a.args in
-      (* Force the membership table on this domain before the fan-out:
-         [Relation.mem] materializes lazily and must not race. *)
-      Relation.prepare rel;
-      let rows =
-        par_filter
-          (fun row ->
-            let tup = Tuple.of_list (List.map (fun g -> g row) getters) in
-            not (Relation.mem rel tup))
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      let ci = membership_index rel in
-      let mk = probe_filler (List.map (code_spec t) a.args) data in
-      let mk_pred () =
-        let fill = mk () in
-        fun base -> not (code_mem ci (fill base))
-      in
-      { t with repr = filter_codes mk_pred ~width ~count ~data }
+    let ci = membership_index (relation_for catalog a) in
+    let mk = probe_filler (List.map (code_spec t) a.args) t.data in
+    let mk_pred () =
+      let fill = mk () in
+      fun base -> not (Index.mem_codes ci (fill base))
+    in
+    filter_codes mk_pred t
 
   (* A term as a [Value.t] reader over the flat code array (constants are
      hoisted; slot codes decode through the lock-free dictionary). *)
-  let value_getter t data = function
+  let value_getter t = function
     | Ast.Const v -> fun (_ : int) -> v
     | (Ast.Var _ | Ast.Param _) as term -> (
       let key = Ast.binding_key term in
       match slot_of t key with
-      | Some s -> fun base -> Dict.decode (Array.unsafe_get data (base + s))
+      | Some s -> fun base -> Dict.decode (Array.unsafe_get t.data (base + s))
       | None -> errorf "unbound %s in non-positive subgoal" key)
 
   let filter_cmp t left cmp right =
-    match t.repr with
-    | Vals rows ->
-      let gl = term_getter t left and gr = term_getter t right in
-      let rows =
-        par_filter
-          (fun row ->
-            Ast.comparison_eval (Value.compare (gl row) (gr row)) cmp)
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      let gl = value_getter t data left and gr = value_getter t data right in
-      let mk_pred () base =
-        Ast.comparison_eval (Value.compare (gl base) (gr base)) cmp
-      in
-      { t with repr = filter_codes mk_pred ~width ~count ~data }
+    let gl = value_getter t left and gr = value_getter t right in
+    let mk_pred () base =
+      Ast.comparison_eval (Value.compare (gl base) (gr base)) cmp
+    in
+    filter_codes mk_pred t
 
   let key_positions t keys =
     List.map
@@ -501,60 +337,36 @@ module Envs = struct
         | None -> errorf "Envs.project: unbound key %s" key)
       keys
 
+  (* Gather the projected columns out of the stride layout, dedupe the
+     code rows in one open-addressing pass, and hand the surviving
+     distinct rows to the relation as an already-distinct chunk. *)
   let project t ~keys ~columns =
-    let positions = key_positions t keys in
-    match t.repr with
-    | Vals rows ->
-      let rel = Relation.create (Schema.of_list columns) in
-      List.iter
-        (fun row ->
-          Relation.add rel
-            (Tuple.of_list (List.map (Array.get row) positions)))
-        rows;
-      rel
-    | Codes { width; count; data } ->
-      (* Gather the projected columns out of the stride layout, dedupe the
-         code rows in one open-addressing pass, and hand the surviving
-         distinct rows to the relation as an already-distinct chunk. *)
-      let pcols =
-        Array.of_list
-          (List.map
-             (fun p ->
-               Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
-             positions)
-      in
-      let idxs = Chunkrel.distinct_rows pcols count in
-      let chunk =
-        {
-          Chunkrel.nrows = Array.length idxs;
-          cols = Chunkrel.gather_cols pcols idxs;
-          rows_cache = None;
-        }
-      in
-      Relation.of_chunkrel (Schema.of_list columns) chunk
+    let { width; count; data; _ } = t in
+    let pcols =
+      Array.of_list
+        (List.map
+           (fun p ->
+             Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
+           (key_positions t keys))
+    in
+    let idxs = Chunkrel.distinct_rows pcols count in
+    Relation.of_chunkrel (Schema.of_list columns)
+      {
+        Chunkrel.nrows = Array.length idxs;
+        cols = Chunkrel.gather_cols pcols idxs;
+        rows_cache = None;
+      }
 
   let semijoin t ~keys ~keep =
-    let positions = key_positions t keys in
-    match t.repr with
-    | Vals rows ->
-      (* Same lazy-materialization guard as [filter_neg]. *)
-      Relation.prepare keep;
-      let rows =
-        par_filter
-          (fun row ->
-            Relation.mem keep
-              (Tuple.of_list (List.map (Array.get row) positions)))
-          rows
-      in
-      { t with repr = Vals rows }
-    | Codes { width; count; data } ->
-      let ci = membership_index keep in
-      let mk = probe_filler (List.map (fun s -> `Slot s) positions) data in
-      let mk_pred () =
-        let fill = mk () in
-        fun base -> code_mem ci (fill base)
-      in
-      { t with repr = filter_codes mk_pred ~width ~count ~data }
+    let ci = membership_index keep in
+    let mk =
+      probe_filler (List.map (fun s -> `Slot s) (key_positions t keys)) t.data
+    in
+    let mk_pred () =
+      let fill = mk () in
+      fun base -> Index.mem_codes ci (fill base)
+    in
+    filter_codes mk_pred t
 end
 
 (* {1 Literal ordering} *)

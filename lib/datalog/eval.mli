@@ -39,7 +39,7 @@ module Envs : sig
       rule accepts for that key (reducers have no false negatives, so the
       final result set is unchanged — only intermediate rows shrink).
       Rejections are flushed as one [sip.rows_pruned] Obs count, whose
-      total is deterministic across layouts and pool sizes. *)
+      total is deterministic across pool sizes. *)
   val extend_pos :
     ?sip:(string * Qf_relational.Sip.t) list ->
     Qf_relational.Catalog.t ->

@@ -52,83 +52,7 @@ let eval func schema tuples =
           else acc)
         (Tuple.get first pos) rest)
 
-(* {1 Row-layout parallel grouping}
-
-   Group-by is the FILTER step's core operation and routinely runs over
-   millions of tabulated rows, so it gets the full two-phase treatment:
-
-   - phase 1 (parallel over row chunks): project each tuple's key and
-     scatter [(key, tuple)] into one of [d] buckets by key hash, so every
-     distinct key lands in exactly one partition;
-   - phase 2 (parallel over the [d] partitions): build the per-partition
-     group table and evaluate the aggregate per group.
-
-   No cross-domain merge is needed — partitioning by key hash makes the
-   partitions disjoint — and the cached tuple hash makes both the scatter
-   and the table probes O(1).  Results are the same (unordered) group
-   list as the sequential path. *)
-
-let group_by_parallel pool rel ~key_positions ~func =
-  let schema = Relation.schema rel in
-  let tuples = Relation.to_array rel in
-  let n = Array.length tuples in
-  let d = Pool.size pool in
-  let buckets_per_chunk =
-    Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        let buckets = Array.make d [] in
-        for i = lo to hi - 1 do
-          let tup = tuples.(i) in
-          let key = Tuple.project key_positions tup in
-          let j = (Tuple.hash key land max_int) mod d in
-          buckets.(j) <- (key, tup) :: buckets.(j)
-        done;
-        buckets)
-  in
-  let partitions =
-    List.init d (fun j ->
-        List.map (fun buckets -> buckets.(j)) buckets_per_chunk)
-  in
-  let per_partition =
-    Pool.run_all pool
-      (List.map
-         (fun pieces () ->
-           let groups : Tuple.t list ref Tuple.Table.t =
-             Tuple.Table.create 64
-           in
-           List.iter
-             (List.iter (fun (key, tup) ->
-                  match Tuple.Table.find_opt groups key with
-                  | Some cell -> cell := tup :: !cell
-                  | None -> Tuple.Table.add groups key (ref [ tup ])))
-             pieces;
-           Tuple.Table.fold
-             (fun key cell acc -> (key, eval func schema !cell) :: acc)
-             groups [])
-         partitions)
-  in
-  List.concat per_partition
-
-let group_by_rows ?pool ?par_threshold rel ~keys ~func =
-  let threshold =
-    match par_threshold with Some v -> v | None -> Pool.par_threshold ()
-  in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  if Pool.size pool > 1 && Relation.cardinal rel >= threshold then
-    let key_positions =
-      Array.of_list (List.map (Schema.position (Relation.schema rel)) keys)
-    in
-    group_by_parallel pool rel ~key_positions ~func
-  else begin
-    let schema = Relation.schema rel in
-    let idx = Index.build_on rel keys in
-    let out = ref [] in
-    Index.iter_groups
-      (fun key tuples -> out := (key, eval func schema tuples) :: !out)
-      idx;
-    !out
-  end
-
-(* {1 Columnar grouping}
+(* {1 Grouping}
 
    Rows are grouped by their key *codes*: a group id per distinct key
    row, assigned through either a dense code→gid map (single key column
@@ -138,10 +62,10 @@ let group_by_rows ?pool ?par_threshold rel ~keys ~func =
    column's codes on the fly (an array read per row), [COUNT] touches no
    values at all.
 
-   The parallel path reuses the two-phase scheme above, but over int
-   buffers: scatter row indices by key hash into [d] disjoint partitions,
-   then group and aggregate each partition independently; per-partition
-   results merge by [Array.blit]. *)
+   Above the parallel threshold, row indices scatter by key hash into [d]
+   disjoint partitions (phase 1, chunked), then each partition groups and
+   aggregates independently (phase 2); no cross-partition merge is
+   needed.  The spilling path reuses phase 2 on each on-disk partition. *)
 
 (* Group the rows listed in [idxs]; returns [rep] (one representative row
    per group, in first-appearance order) and [gid] (parallel to [idxs]). *)
@@ -256,10 +180,30 @@ let aggregate_gids (chunk : Chunkrel.t) schema ~func ~rep ~gid ~idxs =
     done;
     Array.map (fun i -> Dict.decode vcol.(i)) best
 
-let identity_idxs n = Array.init n (fun i -> i)
+(* One partition's groups: row [g] of [keys] holds group [g]'s key codes,
+   [aggs.(g)] its aggregate value.  Only the groups are kept, never the
+   partition's rows. *)
+type groups = {
+  keys : Chunkrel.t;
+  aggs : Value.t array;
+}
 
-(* Phase 1 of the parallel path: row indices scattered into [d] disjoint
-   partitions by key hash, merged per partition by blit. *)
+(* Phase 2: group and aggregate the rows [idxs] of [chunk]. *)
+let group_job chunk schema ~key_positions ~func idxs =
+  let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions in
+  let rep, gid = group_rows key_cols idxs in
+  {
+    keys =
+      {
+        Chunkrel.nrows = Array.length rep;
+        cols = Chunkrel.gather_cols key_cols rep;
+        rows_cache = None;
+      };
+    aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs;
+  }
+
+(* Phase 1: row indices scattered into [d] disjoint partitions by key
+   hash. *)
 let partition_rows pool key_cols n =
   let d = Pool.size pool in
   let per_chunk =
@@ -270,230 +214,108 @@ let partition_rows pool key_cols n =
         done;
         bufs)
   in
-  List.init d (fun j ->
-      let pieces = List.map (fun bufs -> bufs.(j)) per_chunk in
-      let total = List.fold_left (fun a c -> a + Buf.length c) 0 pieces in
-      let dst = Array.make total 0 in
-      let pos = ref 0 in
-      List.iter (fun c -> pos := Buf.blit_into c dst !pos) pieces;
-      dst)
+  List.init d (fun j -> Buf.concat (List.map (fun bufs -> bufs.(j)) per_chunk))
 
-let columnar_partitions ?pool ?par_threshold rel ~key_cols =
+let group_in_memory ?pool ?par_threshold rel ~key_positions ~func =
+  let schema = Relation.schema rel in
   let chunk = Relation.codes rel in
   let n = chunk.Chunkrel.nrows in
   let threshold =
     match par_threshold with Some v -> v | None -> Pool.par_threshold ()
   in
   let pool = match pool with Some p -> p | None -> Pool.default () in
+  let job idxs () = group_job chunk schema ~key_positions ~func idxs in
   if Pool.size pool > 1 && n >= threshold then
-    Some pool, partition_rows pool key_cols n
-  else None, [ identity_idxs n ]
-
-let group_by_cols ?pool ?par_threshold rel ~keys ~func =
-  let schema = Relation.schema rel in
-  let chunk = Relation.codes rel in
-  let key_positions =
-    Array.of_list (List.map (Schema.position schema) keys)
-  in
-  let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions in
-  let pool, parts = columnar_partitions ?pool ?par_threshold rel ~key_cols in
-  let job idxs () =
-    let rep, gid = group_rows key_cols idxs in
-    let aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs in
-    rep, aggs
-  in
-  let per_part =
-    match pool with
-    | Some pool -> Pool.run_all pool (List.map job parts)
-    | None -> List.map (fun idxs -> job idxs ()) parts
-  in
-  List.concat_map
-    (fun (rep, aggs) ->
-      List.init (Array.length rep) (fun g ->
-          let i = rep.(g) in
-          let key =
-            Tuple.of_array
-              (Array.map (fun col -> Dict.decode col.(i)) key_cols)
-          in
-          key, aggs.(g)))
-    per_part
+    let key_cols =
+      Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions
+    in
+    Pool.run_all pool (List.map job (partition_rows pool key_cols n))
+  else [ job (Array.init n Fun.id) () ]
 
 (* {1 Spilling group-by}
 
    Under a governed budget too small for the in-memory group table, rows
    hash-partition by their group key into temp heap-file runs, then each
-   partition aggregates independently under a per-partition charge.
-   Equal keys land in the same partition, so per-partition group lists
-   concatenate into exactly the in-memory result — no cross-partition
-   merge is ever needed. *)
-let spill_group_by g rel ~keys ~func =
-  let schema = Relation.schema rel in
-  let key_positions =
-    Array.of_list (List.map (Schema.position schema) keys)
-  in
+   partition groups under a per-partition charge.  Equal keys land in the
+   same partition, so the per-partition groups are exactly the in-memory
+   result — no cross-partition merge is ever needed. *)
+let spill_groups g rel ~key_positions ~func =
   let need = 2 * Relation.approx_bytes rel in
   let parts = Spill.partition_count g ~need in
   let runs = Spill.partition_by_key g rel ~positions:key_positions ~parts in
   Fun.protect ~finally:(fun () -> Array.iter Spill.discard runs)
   @@ fun () ->
   Spill.note_runs g runs;
-  let out = ref [] in
-  Array.iter
+  List.map
     (fun run ->
       Governor.check ();
       let part = Spill.to_relation run in
       let cost = 2 * Relation.approx_bytes part in
       Governor.charge g cost;
       Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-      let idx = Index.build_on part keys in
-      Index.iter_groups
-        (fun key tuples -> out := (key, eval func schema tuples) :: !out)
-        idx)
-    runs;
-  !out
+      let chunk = Relation.codes part in
+      group_job chunk (Relation.schema part) ~key_positions ~func
+        (Array.init chunk.Chunkrel.nrows Fun.id))
+    (Array.to_list runs)
 
-let group_by ?pool ?par_threshold rel ~keys ~func =
-  Governor.check ();
-  let in_memory () =
-    match Layout.mode () with
-    | Layout.Row -> group_by_rows ?pool ?par_threshold rel ~keys ~func
-    | Layout.Columnar -> group_by_cols ?pool ?par_threshold rel ~keys ~func
+let count_groups parts =
+  List.fold_left (fun a p -> a + p.keys.Chunkrel.nrows) 0 parts
+
+(* The governed grouping shared by [group_by] and [group_filter_report],
+   inside its [aggregate.group_by] span. *)
+let grouped ?pool ?par_threshold rel ~keys ~func =
+  let key_positions =
+    Array.of_list (List.map (Schema.position (Relation.schema rel)) keys)
   in
   let compute () =
-    (* The group table holds every distinct key plus its tuple list;
-       charge roughly twice the input, spill when it does not fit. *)
+    (* The group table holds every distinct key plus its representative
+       rows; charge roughly twice the input, spill when it does not fit. *)
     Spill.governed
       ~need:(2 * Relation.approx_bytes rel)
-      in_memory
+      (fun () -> group_in_memory ?pool ?par_threshold rel ~key_positions ~func)
       (fun g ->
         if Obs.enabled () then Obs.count "governor.spill.groups" 1;
-        spill_group_by g rel ~keys ~func)
+        spill_groups g rel ~key_positions ~func)
   in
   if not (Obs.enabled ()) then compute ()
   else
     Obs.with_span "aggregate.group_by"
       ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
       (fun () ->
-        let groups = compute () in
-        Obs.set_attr "groups_out" (Obs.Int (List.length groups));
-        groups)
+        let parts = compute () in
+        Obs.set_attr "groups_out" (Obs.Int (count_groups parts));
+        parts)
 
-(* Columnar FILTER: group, aggregate, filter by threshold, and gather the
-   surviving representative rows' key codes straight into the output
-   chunk — no tuple is built for keys that fail the support test, and
-   none at all for the survivors either. *)
-let group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold =
-  let schema = Relation.schema rel in
-  let chunk = Relation.codes rel in
-  let key_positions =
-    Array.of_list (List.map (Schema.position schema) keys)
-  in
-  let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions in
-  let grouping () =
-    let pool, parts =
-      columnar_partitions ?pool ?par_threshold rel ~key_cols
-    in
-    let job idxs () =
-      let rep, gid = group_rows key_cols idxs in
-      let aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs in
-      rep, aggs
-    in
-    match pool with
-    | Some pool -> Pool.run_all pool (List.map job parts)
-    | None -> List.map (fun idxs -> job idxs ()) parts
-  in
-  (* Keep the nested group-by span (and its attribute values) identical
-     to the row layout's, so profiled runs are layout-insensitive. *)
-  let per_part =
-    if not (Obs.enabled ()) then grouping ()
-    else
-      Obs.with_span "aggregate.group_by"
-        ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
-        (fun () ->
-          let per_part = grouping () in
-          Obs.set_attr "groups_out"
-            (Obs.Int
-               (List.fold_left
-                  (fun a (rep, _) -> a + Array.length rep)
-                  0 per_part));
-          per_part)
-  in
-  let candidates =
-    List.fold_left (fun a (rep, _) -> a + Array.length rep) 0 per_part
-  in
-  let kept_bufs =
-    List.map
-      (fun (rep, aggs) ->
-        let buf = Buf.create (Array.length rep) in
-        Array.iteri
-          (fun g i ->
-            if numeric_exn "group_filter" aggs.(g) >= threshold then
-              Buf.push buf i)
-          rep;
-        buf)
-      per_part
-  in
-  let total = List.fold_left (fun a b -> a + Buf.length b) 0 kept_bufs in
-  let kept = Array.make total 0 in
-  let pos = ref 0 in
-  List.iter (fun b -> pos := Buf.blit_into b kept !pos) kept_bufs;
-  let out =
-    Relation.of_chunkrel
-      (Schema.restrict schema keys)
-      {
-        Chunkrel.nrows = total;
-        cols = Chunkrel.gather_cols key_cols kept;
-        rows_cache = None;
-      }
-  in
-  out, candidates
+let group_by ?pool ?par_threshold rel ~keys ~func =
+  Governor.check ();
+  List.concat_map
+    (fun { keys; aggs } ->
+      List.init keys.Chunkrel.nrows (fun g -> Chunkrel.tuple_at keys g, aggs.(g)))
+    (grouped ?pool ?par_threshold rel ~keys ~func)
 
-(* Spilling FILTER (columnar layout's fallback): group via the spill
-   path, then threshold-filter the group list.  The nested group-by span
-   mirrors the in-memory paths' exactly, so governed profiled runs stay
-   layout-insensitive. *)
-let spill_group_filter g rel ~keys ~func ~threshold =
-  let grouping () = spill_group_by g rel ~keys ~func in
-  let groups =
-    if not (Obs.enabled ()) then grouping ()
-    else
-      Obs.with_span "aggregate.group_by"
-        ~attrs:[ "rows_in", Obs.Int (Relation.cardinal rel) ]
-        (fun () ->
-          let groups = grouping () in
-          Obs.set_attr "groups_out" (Obs.Int (List.length groups));
-          groups)
-  in
-  let out = Relation.create (Schema.restrict (Relation.schema rel) keys) in
-  List.iter
-    (fun (key, v) ->
-      if numeric_exn "group_filter" v >= threshold then Relation.add out key)
-    groups;
-  out, List.length groups
-
+(* FILTER: group, aggregate, filter by threshold, and gather the
+   surviving groups' key codes straight into the output chunk — no tuple
+   is built for keys that fail the support test, and none at all for the
+   survivors either. *)
 let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
   Governor.check ();
   let compute () =
-    match Layout.mode () with
-    | Layout.Columnar ->
-      Spill.governed
-        ~need:(2 * Relation.approx_bytes rel)
-        (fun () ->
-          group_filter_cols ?pool ?par_threshold rel ~keys ~func ~threshold)
-        (fun g ->
-          if Obs.enabled () then Obs.count "governor.spill.groups" 1;
-          spill_group_filter g rel ~keys ~func ~threshold)
-    | Layout.Row ->
-      let groups = group_by ?pool ?par_threshold rel ~keys ~func in
-      let out =
-        Relation.create (Schema.restrict (Relation.schema rel) keys)
-      in
-      List.iter
-        (fun (key, v) ->
-          let x = numeric_exn "group_filter" v in
-          if x >= threshold then Relation.add out key)
-        groups;
-      out, List.length groups
+    let parts = grouped ?pool ?par_threshold rel ~keys ~func in
+    let survivors =
+      List.map
+        (fun { keys; aggs } ->
+          let kept = Buf.create (Array.length aggs) in
+          Array.iteri
+            (fun g v ->
+              if numeric_exn "group_filter" v >= threshold then Buf.push kept g)
+            aggs;
+          Chunkrel.gather keys (Buf.to_array kept))
+        parts
+    in
+    ( Relation.of_chunkrel
+        (Schema.restrict (Relation.schema rel) keys)
+        (Chunkrel.concat ~arity:(List.length keys) survivors),
+      count_groups parts )
   in
   if not (Obs.enabled ()) then compute ()
   else

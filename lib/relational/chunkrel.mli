@@ -53,11 +53,19 @@ val gather_cols : int array array -> int array -> int array array
     occurrence of each distinct row (order of first appearance). *)
 val distinct_rows : int array array -> int -> int array
 
+(** [distinct_among cols idxs] is {!distinct_rows} over the rows listed
+    in [idxs] only. *)
+val distinct_among : int array array -> int array -> int array
+
+(** [concat ~arity chunks] stacks the rows of [chunks] (all of arity
+    [arity]) in list order.  Distinctness is the caller's to guarantee. *)
+val concat : arity:int -> t list -> t
+
 (** Smallest power of two [>= max 16 n]. *)
 val hash_capacity : int -> int
 
 (** {1 Growable int buffers} — the parallel kernels' per-chunk output
-    substrate; chunks are merged by {!Buf.blit_into} with no per-row
+    substrate; chunks are merged by {!Buf.concat} with no per-row
     boxing. *)
 module Buf : sig
   type buf
@@ -69,7 +77,6 @@ module Buf : sig
   val get : buf -> int -> int
   val to_array : buf -> int array
 
-  (** [blit_into b dst pos] copies [b]'s contents into [dst] at [pos]
-      and returns the next free position. *)
-  val blit_into : buf -> int array -> int -> int
+  (** The buffers' contents, in list order, in one fresh array. *)
+  val concat : buf list -> int array
 end

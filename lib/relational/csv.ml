@@ -56,8 +56,8 @@ let parse_string text =
                (i + 2) (List.length row) (Schema.arity schema));
         Relation.add rel (Tuple.of_list (List.map Value.of_string row)))
       rows;
-    (* Load boundary: materialize the preferred physical layout now so
-       the first kernel does not pay the conversion mid-query. *)
+    (* Load boundary: materialize the columnar snapshot now so the first
+       kernel does not pay the conversion mid-query. *)
     Relation.prepare rel;
     rel
 

@@ -1,4 +1,4 @@
-(** The process-wide value dictionary backing the columnar layout.
+(** The process-wide value dictionary backing the columnar relations.
 
     Every distinct {!Value.t} (under {!Value.equal} — so [Int 1] and
     [Real 1.0] stay distinct, matching tuple set semantics) maps to one

@@ -50,8 +50,8 @@ let iter f t =
 let to_relation t =
   let rel = Relation.create t.schema in
   iter (Relation.add rel) t;
-  (* Load boundary: materialize the layout the kernels prefer, so the
-     conversion cost is paid here and not inside the first query. *)
+  (* Load boundary: materialize the columnar snapshot, so the conversion
+     cost is paid here and not inside the first query. *)
   Relation.prepare rel;
   rel
 

@@ -1,23 +1,4 @@
-type mode =
-  | Row
-  | Columnar
+type mode = Columnar
 
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "row" | "rows" -> Some Row
-  | "columnar" | "column" | "col" -> Some Columnar
-  | _ -> None
-
-let to_string = function Row -> "row" | Columnar -> "columnar"
-
-let env_mode =
-  lazy (Option.bind (Sys.getenv_opt "QF_LAYOUT") of_string)
-
-let override : mode option ref = ref None
-let set_override m = override := m
-
-let mode () =
-  match !override with
-  | Some m -> m
-  | None -> (
-    match Lazy.force env_mode with Some m -> m | None -> Columnar)
+let mode () = Columnar
+let to_string Columnar = "columnar"

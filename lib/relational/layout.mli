@@ -1,27 +1,10 @@
-(** Physical-layout selection for the relational kernels.
+(** The relational engine's physical layout, as a label.
 
-    Every relation can materialize two physical layouts: the classic
-    row-at-a-time hash set of {!Tuple.t}s, and the columnar form — one
-    dictionary-encoded [int array] per attribute (see {!Chunkrel}).  The
-    kernels ({!Join}, {!Aggregate}, [Relation.select]/[project], the
-    Datalog evaluator) consult the current {!mode} to pick their code
-    path; both paths compute identical result sets.
+    The engine has one layout: dictionary-encoded columns (see
+    {!Chunkrel}).  This module exists only so that benchmark records can
+    stamp the layout they ran under; it has no setting. *)
 
-    The mode is a process-wide dial, not a per-relation property:
-    relations convert lazily at the boundary when a kernel asks for the
-    other layout. *)
+type mode = Columnar
 
-type mode =
-  | Row  (** row-at-a-time [Tuple.t] kernels (the pre-columnar engine) *)
-  | Columnar  (** dictionary-encoded column kernels (the default) *)
-
-(** The current mode: the {!set_override} value when set, else
-    [QF_LAYOUT] ([row] / [columnar], read once), else {!Columnar}. *)
 val mode : unit -> mode
-
-(** Force a mode programmatically (benchmark ablations, equivalence
-    tests); [None] returns control to the environment/default. *)
-val set_override : mode option -> unit
-
-val of_string : string -> mode option
 val to_string : mode -> string

@@ -1,18 +1,19 @@
 module Pool = Qf_exec_pool.Pool
 
-(* A relation is an abstract handle over two interchangeable physical
-   layouts:
+(* A relation is an abstract handle over two representations of one
+   tuple set:
 
-   - [table]: the row layout — a hash set of {!Tuple.t}s (the only layout
-     that supports insertion and O(1) membership);
-   - [chunk]: the columnar layout — a {!Chunkrel.t} of dictionary-encoded
-     code columns, tagged with the relation [version] it snapshots.
+   - [chunk]: the columnar snapshot every kernel reads — a {!Chunkrel.t}
+     of dictionary-encoded code columns, tagged with the relation
+     [version] it snapshots;
+   - [table]: a hash set of {!Tuple.t}s, the insertion and membership
+     structure behind the tuple-level API ([add], [mem]).
 
-   At least one layout is always present.  [codes] and [ensure_table]
+   At least one is always present.  [codes] and [ensure_table]
    materialize the missing one lazily; kernels producing columnar output
    construct chunk-only relations through [of_chunkrel] and never build
-   the row table unless someone asks for it.  Mutation ([add]) goes
-   through the table and bumps [version], staling any cached chunk. *)
+   the table unless someone asks for it.  Mutation ([add]) goes through
+   the table and bumps [version], staling any cached chunk. *)
 
 type t = {
   id : int;
@@ -92,10 +93,7 @@ let codes t =
     t.chunk_version <- t.version;
     chunk
 
-let prepare t =
-  match Layout.mode () with
-  | Layout.Columnar -> ignore (codes t)
-  | Layout.Row -> ignore (ensure_table t)
+let prepare t = ignore (codes t)
 
 let add t tup =
   if Tuple.arity tup <> arity t then
@@ -109,8 +107,7 @@ let add t tup =
     t.version <- t.version + 1
   end
 
-(* Internal: insert a tuple known to be absent and of the right arity
-   (parallel kernels dedupe per hash partition before merging). *)
+(* Internal: insert a tuple known to be absent and of the right arity. *)
 let unsafe_add_new t tup =
   let tb = ensure_table t in
   Tuple.Table.add tb tup ();
@@ -136,23 +133,6 @@ let fold f t init =
 let to_list t = fold List.cons t []
 let to_sorted_list t = List.sort Tuple.compare (to_list t)
 
-let to_array t =
-  match t.table with
-  | None -> Array.copy (Chunkrel.rows (Option.get t.chunk))
-  | Some tb ->
-    let n = Tuple.Table.length tb in
-    if n = 0 then [||]
-    else begin
-      let dst = Array.make n (Tuple.of_array [||]) in
-      let i = ref 0 in
-      Tuple.Table.iter
-        (fun tup () ->
-          dst.(!i) <- tup;
-          incr i)
-        tb;
-      dst
-    end
-
 let of_list schema tuples =
   let rel = create schema in
   List.iter (add rel) tuples;
@@ -163,18 +143,11 @@ let of_values columns rows =
 
 (* {1 Scan kernels}
 
-   Two implementations each, chosen by {!Layout.mode}:
-
-   - row: iterate the tuple table (parallel path: chunked tuple array,
-     per-chunk output lists merged through the result's hash set);
-   - columnar: a vectorized loop over the decoded row array that collects
-     surviving row *indices* into pre-sized int buffers, merges them by
-     [Array.blit], and gathers the output columns once.  Selection
-     preserves distinctness, so no output hashing happens at all;
-     projection deduplicates over code rows.
-
-   Both fall back to sequential below [Pool.par_threshold] or on a pool
-   of size 1, and all four paths produce the same result set. *)
+   A vectorized loop collects surviving row *indices* into pre-sized int
+   buffers, merges them by [Array.blit], and gathers the output columns
+   once.  Selection preserves distinctness, so no output hashing happens
+   at all; projection deduplicates over code rows.  Both fall back to
+   sequential below [Pool.par_threshold] or on a pool of size 1. *)
 
 let use_pool pool n threshold =
   let pool = match pool with Some p -> p | None -> Pool.default () in
@@ -184,33 +157,7 @@ let threshold_of = function
   | Some v -> v
   | None -> Pool.par_threshold ()
 
-let select_rows ?pool ?par_threshold t pred =
-  let out = create t.schema in
-  (match use_pool pool (cardinal t) (threshold_of par_threshold) with
-  | None -> iter (fun tup -> if pred tup then unsafe_add_new out tup) t
-  | Some pool ->
-    let tuples = to_array t in
-    let kept =
-      Pool.run_chunks pool ~n:(Array.length tuples) (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            let tup = tuples.(i) in
-            if pred tup then acc := tup :: !acc
-          done;
-          !acc)
-    in
-    List.iter (List.iter (unsafe_add_new out)) kept);
-  out
-
-(* Merge per-chunk index buffers into one pre-sized array. *)
-let merge_index_chunks chunks =
-  let total = List.fold_left (fun a c -> a + Chunkrel.Buf.length c) 0 chunks in
-  let dst = Array.make total 0 in
-  let pos = ref 0 in
-  List.iter (fun c -> pos := Chunkrel.Buf.blit_into c dst !pos) chunks;
-  dst
-
-let select_cols ?pool ?par_threshold t pred =
+let select ?pool ?par_threshold t pred =
   let chunk = codes t in
   let rows = Chunkrel.rows chunk in
   let n = chunk.Chunkrel.nrows in
@@ -229,31 +176,9 @@ let select_cols ?pool ?par_threshold t pred =
             if pred rows.(i) then Chunkrel.Buf.push buf i
           done;
           buf)
-      |> merge_index_chunks
+      |> Chunkrel.Buf.concat
   in
   of_chunkrel t.schema (Chunkrel.gather chunk kept)
-
-let select ?pool ?par_threshold t pred =
-  match Layout.mode () with
-  | Layout.Row -> select_rows ?pool ?par_threshold t pred
-  | Layout.Columnar -> select_cols ?pool ?par_threshold t pred
-
-let project_rows ?pool ?par_threshold t cols positions =
-  let out = create (Schema.restrict t.schema cols) in
-  (match use_pool pool (cardinal t) (threshold_of par_threshold) with
-  | None -> iter (fun tup -> add out (Tuple.project positions tup)) t
-  | Some pool ->
-    let tuples = to_array t in
-    let projected =
-      Pool.run_chunks pool ~n:(Array.length tuples) (fun ~lo ~hi ->
-          let acc = ref [] in
-          for i = hi - 1 downto lo do
-            acc := Tuple.project positions tuples.(i) :: !acc
-          done;
-          !acc)
-    in
-    List.iter (List.iter (add out)) projected);
-  out
 
 (* Parallel columnar dedup: scatter row indices into [d] partitions by
    row hash (phase 1, chunked), then dedup each partition independently
@@ -273,44 +198,14 @@ let distinct_rows_par pool pcols n =
   let kept_per_partition =
     Pool.run_all pool
       (List.init d (fun j () ->
-           let candidates =
-             merge_index_chunks
-               (List.map (fun bufs -> bufs.(j)) buckets_per_chunk)
-           in
-           (* Dedup among the candidate indices with open addressing. *)
-           let m = Array.length candidates in
-           let cap = Chunkrel.hash_capacity (2 * m) in
-           let mask = cap - 1 in
-           let slots = Array.make cap (-1) in
-           let buf = Chunkrel.Buf.create m in
-           let ncols = Array.length pcols in
-           let rows_equal i j =
-             let rec loop c =
-               c >= ncols
-               || pcols.(c).(i) = pcols.(c).(j) && loop (c + 1)
-             in
-             loop 0
-           in
-           for k = 0 to m - 1 do
-             let i = candidates.(k) in
-             let h = ref (Chunkrel.hash_key pcols i land mask) in
-             let stop = ref false in
-             while not !stop do
-               let j = slots.(!h) in
-               if j = -1 then begin
-                 slots.(!h) <- i;
-                 Chunkrel.Buf.push buf i;
-                 stop := true
-               end
-               else if rows_equal i j then stop := true
-               else h := (!h + 1) land mask
-             done
-           done;
-           buf))
+           Chunkrel.distinct_among pcols
+             (Chunkrel.Buf.concat
+                (List.map (fun bufs -> bufs.(j)) buckets_per_chunk))))
   in
-  merge_index_chunks kept_per_partition
+  Array.concat kept_per_partition
 
-let project_cols ?pool ?par_threshold t cols positions =
+let project ?pool ?par_threshold t cols =
+  let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
   let chunk = codes t in
   let n = chunk.Chunkrel.nrows in
   let pcols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) positions in
@@ -327,12 +222,6 @@ let project_cols ?pool ?par_threshold t cols positions =
       rows_cache = None;
     }
 
-let project ?pool ?par_threshold t cols =
-  let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
-  match Layout.mode () with
-  | Layout.Row -> project_rows ?pool ?par_threshold t cols positions
-  | Layout.Columnar -> project_cols ?pool ?par_threshold t cols positions
-
 let union a b =
   if arity a <> arity b then invalid_arg "Relation.union: arity mismatch";
   let out = create a.schema in
@@ -346,32 +235,17 @@ let diff a b =
   iter (fun tup -> if not (mem b tup) then unsafe_add_new out tup) a;
   out
 
+(* Distinct codes of the column, decoded once each. *)
 let column_values t col =
-  let pos = Schema.position t.schema col in
-  match Layout.mode () with
-  | Layout.Columnar ->
-    (* Distinct codes of the column, decoded once each. *)
-    let chunk = codes t in
-    let col = chunk.Chunkrel.cols.(pos) in
-    let kept = Chunkrel.distinct_rows [| col |] chunk.Chunkrel.nrows in
-    Array.fold_left (fun acc i -> Dict.decode col.(i) :: acc) [] kept
-  | Layout.Row ->
-    let seen = Hashtbl.create 64 in
-    fold
-      (fun tup acc ->
-        let v = Tuple.get tup pos in
-        let key = Value.hash v, v in
-        if Hashtbl.mem seen key then acc
-        else begin
-          Hashtbl.add seen key ();
-          v :: acc
-        end)
-      t []
+  let chunk = codes t in
+  let col = chunk.Chunkrel.cols.(Schema.position t.schema col) in
+  let kept = Chunkrel.distinct_rows [| col |] chunk.Chunkrel.nrows in
+  Array.fold_left (fun acc i -> Dict.decode col.(i) :: acc) [] kept
 
 (* Budget accounting for the catalog's LRU caches.  Deliberately a
-   function of (cardinal, arity) only — never of which physical layout
-   happens to be materialized — so cache eviction order, and therefore
-   the memo.evict counters, are identical across layouts. *)
+   function of (cardinal, arity) only — never of which representations
+   happen to be materialized — so cache eviction order, and therefore the
+   memo.evict counters, do not depend on which kernels ran first. *)
 let approx_bytes t = (16 * (arity t + 2) * cardinal t) + 256
 
 let equal a b =

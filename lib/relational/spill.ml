@@ -26,7 +26,15 @@ let add r tup =
 
 let rows r = r.rows
 let bytes r = Heap_file.page_count r.file * Page.size
-let to_relation r = Heap_file.to_relation r.file
+(* A run holds a partition of a set-semantics relation, so its rows are
+   distinct: encode them straight into a chunk, with no tuple hash set. *)
+let to_relation r =
+  let rows = ref [] in
+  Heap_file.iter (fun tup -> rows := tup :: !rows) r.file;
+  let schema = Heap_file.schema r.file in
+  Relation.of_chunkrel schema
+    (Chunkrel.of_tuples ~arity:(Schema.arity schema)
+       (Array.of_list (List.rev !rows)))
 
 let discard r =
   Heap_file.discard r.file;
@@ -44,8 +52,8 @@ let governed ~need in_memory spill =
     else spill g
   | _ -> in_memory ()
 
-(* Partitions sized so one partition's working set targets about half the
-   budget, clamped to [2, 256]. *)
+(* Partitions sized so one partition's working set targets about a quarter
+   of the budget, clamped to [2, 256]. *)
 let partition_count g ~need =
   let b = max 1 (Governor.budget g) in
   max 2 (min 256 ((4 * need / b) + 1))

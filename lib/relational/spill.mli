@@ -13,7 +13,8 @@ val rows : run -> int
 (** Bytes occupied on disk (page granularity). *)
 val bytes : run -> int
 
-(** Materialize the run as an in-memory relation. *)
+(** Materialize the run as an in-memory relation.  The run's rows must be
+    distinct, as they are when the run partitions a relation. *)
 val to_relation : run -> Relation.t
 
 (** Close (without flushing) and delete the run's file.  Never raises. *)

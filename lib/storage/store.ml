@@ -1,5 +1,6 @@
 module Relation = Qf_relational.Relation
 module Catalog = Qf_relational.Catalog
+module Heap_file = Qf_relational.Heap_file
 
 type t = { dir : string }
 

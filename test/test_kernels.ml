@@ -1,44 +1,99 @@
-(* Row/columnar kernel equivalence.
+(* Kernel correctness against list-level oracles.
 
-   Every relational kernel dispatches on {!Layout.mode} between the
-   row-at-a-time engine and the dictionary-encoded columnar engine; both
-   must compute exactly the same result *set* on every input.  The QCheck
-   properties below run each kernel under both layouts (rebuilding the
-   inputs per arm, so each arm pays its own boundary conversion) and
-   require [Relation.equal]; deterministic units pin the classic edge
-   cases (empty input, all-duplicate rows, single-column relations).
+   Every relational kernel runs over dictionary-encoded columns.  The
+   QCheck properties below check each kernel's result *set* against an
+   independent oracle written over plain tuple lists in this file: a
+   nested-loop join, [List.filter], and association-list grouping
+   through [Aggregate.eval].  Deterministic units pin the classic edge
+   cases (empty input, all-duplicate rows, single-column relations,
+   mixed value types).
 
    The corpus check at the bottom replays the differential suite's 100
-   seeded basket instances with the layout forced each way and the pool
-   forced to 1 and 4 domains — the full-stack analogue of the per-kernel
-   properties. *)
+   seeded basket instances through every executor with the pool forced
+   to 1 and 4 domains, against [Naive.run] (generate-and-test) — the
+   full-stack analogue of the per-kernel properties. *)
 
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Tuple = Qf_relational.Tuple
-module Layout = Qf_relational.Layout
+module Schema = Qf_relational.Schema
 module Join = Qf_relational.Join
 module Aggregate = Qf_relational.Aggregate
-module Catalog = Qf_relational.Catalog
 module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
-let with_layout mode f =
-  Layout.set_override (Some mode);
-  Fun.protect ~finally:(fun () -> Layout.set_override None) f
+(* {1 List-level oracles} *)
 
-(* Run [f] (a kernel application over freshly built inputs) under both
-   layouts and check the results agree.  [f] receives nothing but must
-   rebuild its inputs internally so each arm converts at its own
-   boundary. *)
-let both_layouts name f =
-  let row = with_layout Layout.Row f in
-  let col = with_layout Layout.Columnar f in
-  if not (R.equal row col) then
-    QCheck.Test.fail_reportf "%s: row/columnar results differ\nrow:\n%a\ncolumnar:\n%a"
-      name R.pp row R.pp col;
+let tuples rel = List.map Tuple.to_list (R.to_sorted_list rel)
+
+let pos rel col = Schema.position (R.schema rel) col
+
+(* Nested-loop equi-join: [a]'s row followed by [b]'s non-target columns,
+   for every pair agreeing on all [pairs]. *)
+let oracle_equi a b pairs =
+  let pairs = List.map (fun (ca, cb) -> pos a ca, pos b cb) pairs in
+  let targets = List.map snd pairs in
+  List.concat_map
+    (fun ta ->
+      List.filter_map
+        (fun tb ->
+          if List.for_all (fun (i, j) -> V.equal (List.nth ta i) (List.nth tb j)) pairs
+          then Some (ta @ List.filteri (fun j _ -> not (List.mem j targets)) tb)
+          else None)
+        (tuples b))
+    (tuples a)
+
+let oracle_presence ~keep_matching a b pairs =
+  let pairs = List.map (fun (ca, cb) -> pos a ca, pos b cb) pairs in
+  List.filter
+    (fun ta ->
+      List.exists
+        (fun tb ->
+          List.for_all (fun (i, j) -> V.equal (List.nth ta i) (List.nth tb j)) pairs)
+        (tuples b)
+      = keep_matching)
+    (tuples a)
+
+let oracle_project rel cols =
+  List.sort_uniq compare
+    (List.map (fun t -> List.map (fun c -> List.nth t (pos rel c)) cols) (tuples rel))
+
+(* Association-list grouping: (key, aggregate) per distinct key. *)
+let oracle_groups rel ~keys ~func =
+  let groups =
+    List.fold_left
+      (fun acc tup ->
+        let key = List.map (fun c -> Tuple.get tup (pos rel c)) keys in
+        match List.assoc_opt key acc with
+        | Some members -> (key, tup :: members) :: List.remove_assoc key acc
+        | None -> (key, [ tup ]) :: acc)
+      [] (R.to_list rel)
+  in
+  List.map (fun (key, members) -> key, Aggregate.eval func (R.schema rel) members) groups
+
+let oracle_group_filter rel ~keys ~func ~threshold =
+  List.filter_map
+    (fun (key, v) ->
+      match V.to_float v with
+      | Some x when x >= threshold -> Some key
+      | _ -> None)
+    (oracle_groups rel ~keys ~func)
+
+(* [R.equal] between the kernel's output and the oracle's rows (as a
+   relation over the kernel output's columns). *)
+let agrees got expected =
+  R.equal got (R.of_values (Schema.columns (R.schema got)) expected)
+
+let check_prop name got expected =
+  if not (agrees got expected) then
+    QCheck.Test.fail_reportf "%s: kernel differs from oracle\nkernel:\n%a\noracle:\n%a"
+      name R.pp got R.pp
+      (R.of_values (Schema.columns (R.schema got)) expected);
   true
+
+let groups_rel keys groups =
+  R.of_values (keys @ [ "agg" ]) (List.map (fun (key, v) -> key @ [ v ]) groups)
 
 (* {1 Generators} *)
 
@@ -61,32 +116,22 @@ let arb_rel3 =
   QCheck.make ~print:pp_relation
     (gen_small_relation ~columns:[ "A"; "B"; "C" ] ~max_value:4 ~max_rows:30)
 
-(* Rebuild a relation from its sorted values so each layout arm starts
-   from a fresh, unconverted instance. *)
-let values_of rel =
-  List.map Tuple.to_list (R.to_sorted_list rel)
-
-let rebuild columns rel = R.of_values columns (values_of rel)
-
 (* {1 Join kernels} *)
 
-let join_prop op op_name =
-  QCheck.Test.make ~count:150 ~name:(op_name ^ ": row = columnar")
+let semi_oracle = oracle_presence ~keep_matching:true
+let anti_oracle = oracle_presence ~keep_matching:false
+
+let join_prop ?(suffix = "") ~count op oracle op_name =
+  QCheck.Test.make ~count ~name:(op_name ^ suffix ^ ": kernel = nested-loop oracle")
     arb_join_pair (fun (a, b) ->
-      both_layouts op_name (fun () ->
-          let a = rebuild [ "A"; "B" ] a and b = rebuild [ "B"; "C" ] b in
-          op a b [ "B", "B" ]))
+      check_prop op_name (op a b [ "B", "B" ]) (oracle a b [ "B", "B" ]))
 
 (* The forced-parallel variant drives the chunked fan-out paths even on
    tiny inputs ([par_threshold:0] at the call sites below); the pool
    comes from the environment (the second runtest pass forces
    QF_DOMAINS=4). *)
-let join_prop_par op op_name =
-  QCheck.Test.make ~count:75 ~name:(op_name ^ " (forced parallel): row = columnar")
-    arb_join_pair (fun (a, b) ->
-      both_layouts op_name (fun () ->
-          let a = rebuild [ "A"; "B" ] a and b = rebuild [ "B"; "C" ] b in
-          op a b [ "B", "B" ]))
+let join_prop_par = join_prop ~suffix:" (forced parallel)" ~count:75
+let join_prop = join_prop ~count:150
 
 (* {1 Select / project} *)
 
@@ -94,22 +139,20 @@ let select_pred tup =
   match Tuple.get tup 0 with V.Int i -> i mod 2 = 0 | _ -> true
 
 let select_prop =
-  QCheck.Test.make ~count:150 ~name:"select: row = columnar" arb_rel3
+  QCheck.Test.make ~count:150 ~name:"select: kernel = List.filter" arb_rel3
     (fun rel ->
-      both_layouts "select" (fun () ->
-          R.select (rebuild [ "A"; "B"; "C" ] rel) select_pred))
+      check_prop "select" (R.select rel select_pred)
+        (List.filter (fun t -> select_pred (Tuple.of_list t)) (tuples rel)))
 
 let project_prop =
-  QCheck.Test.make ~count:150 ~name:"project: row = columnar" arb_rel3
+  QCheck.Test.make ~count:150 ~name:"project: kernel = list oracle" arb_rel3
     (fun rel ->
-      both_layouts "project" (fun () ->
-          R.project (rebuild [ "A"; "B"; "C" ] rel) [ "B"; "A" ]))
+      check_prop "project" (R.project rel [ "B"; "A" ]) (oracle_project rel [ "B"; "A" ]))
 
 let project_single_prop =
-  QCheck.Test.make ~count:150 ~name:"project to one column: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"project to one column (forced parallel): kernel = list oracle"
     arb_rel3 (fun rel ->
-      both_layouts "project1" (fun () ->
-          R.project ~par_threshold:0 (rebuild [ "A"; "B"; "C" ] rel) [ "C" ]))
+      check_prop "project1" (R.project ~par_threshold:0 rel [ "C" ]) (oracle_project rel [ "C" ]))
 
 (* {1 Aggregation} *)
 
@@ -125,113 +168,102 @@ let arb_func =
           Aggregate.Max "C";
         ])
 
-let groups_to_rel keys rel ~func =
-  (* Encode group_by output as a relation so R.equal can compare it:
-     key columns plus the aggregate value. *)
-  let groups = Aggregate.group_by rel ~keys ~func in
-  R.of_values
-    (keys @ [ "agg" ])
-    (List.map
-       (fun (key, v) -> Tuple.to_list key @ [ v ])
-       groups)
+let group_by_check name rel ~keys ~func =
+  let got =
+    groups_rel keys
+      (List.map
+         (fun (key, v) -> Tuple.to_list key, v)
+         (Aggregate.group_by rel ~keys ~func))
+  in
+  check_prop name got
+    (List.map (fun (key, v) -> key @ [ v ]) (oracle_groups rel ~keys ~func))
 
 let group_by_prop =
-  QCheck.Test.make ~count:150 ~name:"group_by: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"group_by: kernel = association-list oracle"
     (QCheck.pair arb_rel3 arb_func) (fun (rel, func) ->
-      both_layouts "group_by" (fun () ->
-          groups_to_rel [ "A"; "B" ] (rebuild [ "A"; "B"; "C" ] rel) ~func))
+      group_by_check "group_by" rel ~keys:[ "A"; "B" ] ~func)
 
 let group_by_single_key_prop =
   (* Exercises the dense code->group fast path (single key column). *)
-  QCheck.Test.make ~count:150 ~name:"group_by one key: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"group_by one key: kernel = association-list oracle"
     (QCheck.pair arb_rel3 arb_func) (fun (rel, func) ->
-      both_layouts "group_by1" (fun () ->
-          groups_to_rel [ "B" ] (rebuild [ "A"; "B"; "C" ] rel) ~func))
+      group_by_check "group_by1" rel ~keys:[ "B" ] ~func)
 
 let group_filter_prop =
-  QCheck.Test.make ~count:150 ~name:"group_filter: row = columnar"
+  QCheck.Test.make ~count:150 ~name:"group_filter: kernel = association-list oracle"
     (QCheck.triple arb_rel3 arb_func (QCheck.int_range 1 5))
     (fun (rel, func, threshold) ->
-      both_layouts "group_filter" (fun () ->
-          Aggregate.group_filter
-            (rebuild [ "A"; "B"; "C" ] rel)
-            ~keys:[ "A"; "B" ] ~func
-            ~threshold:(float_of_int threshold)))
+      let threshold = float_of_int threshold in
+      check_prop "group_filter"
+        (Aggregate.group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold)
+        (oracle_group_filter rel ~keys:[ "A"; "B" ] ~func ~threshold))
 
 let group_filter_report_prop =
   QCheck.Test.make ~count:150
     ~name:"group_filter_report candidates = |project keys|"
     (QCheck.pair arb_rel3 (QCheck.int_range 1 5)) (fun (rel, threshold) ->
-      List.for_all
-        (fun mode ->
-          with_layout mode (fun () ->
-              let rel = rebuild [ "A"; "B"; "C" ] rel in
-              let _, candidates =
-                Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
-                  ~func:Aggregate.Count
-                  ~threshold:(float_of_int threshold)
-              in
-              candidates = R.cardinal (R.project rel [ "A"; "B" ])))
-        [ Layout.Row; Layout.Columnar ])
+      let _, candidates =
+        Aggregate.group_filter_report rel ~keys:[ "A"; "B" ]
+          ~func:Aggregate.Count
+          ~threshold:(float_of_int threshold)
+      in
+      candidates = List.length (oracle_project rel [ "A"; "B" ]))
 
 (* {1 Edge-case units} *)
 
-let check_equal name expected actual =
-  if not (R.equal expected actual) then
-    Alcotest.failf "%s: row/columnar results differ" name
-
-let unit_both name f =
-  let row = with_layout Layout.Row f in
-  let col = with_layout Layout.Columnar f in
-  check_equal name row col
+let check_unit name got expected =
+  if not (agrees got expected) then
+    Alcotest.failf "%s: kernel differs from oracle\nkernel:\n%a" name R.pp got
 
 let test_empty_inputs () =
   let empty cols = R.of_values cols [] in
-  unit_both "equi on empty" (fun () ->
-      Join.equi (empty [ "A"; "B" ]) (empty [ "B"; "C" ]) [ "B", "B" ]);
-  unit_both "semi empty probe" (fun () ->
-      Join.semi (empty [ "A"; "B" ])
-        (R.of_values [ "B"; "C" ] [ [ V.Int 1; V.Int 2 ] ])
-        [ "B", "B" ]);
-  unit_both "anti empty build" (fun () ->
-      Join.anti
-        (R.of_values [ "A"; "B" ] [ [ V.Int 1; V.Int 2 ] ])
-        (empty [ "B"; "C" ]) [ "B", "B" ]);
-  unit_both "select on empty" (fun () ->
-      R.select (empty [ "A"; "B" ]) (fun _ -> true));
-  unit_both "project on empty" (fun () -> R.project (empty [ "A"; "B" ]) [ "A" ]);
-  unit_both "group_filter on empty" (fun () ->
-      Aggregate.group_filter (empty [ "A"; "B" ]) ~keys:[ "A" ]
-        ~func:Aggregate.Count ~threshold:1.)
+  let one = R.of_values [ "B"; "C" ] [ [ V.Int 1; V.Int 2 ] ] in
+  check_unit "equi on empty"
+    (Join.equi (empty [ "A"; "B" ]) (empty [ "B"; "C" ]) [ "B", "B" ])
+    [];
+  check_unit "semi empty probe" (Join.semi (empty [ "A"; "B" ]) one [ "B", "B" ]) [];
+  check_unit "anti empty build"
+    (Join.anti (R.of_values [ "A"; "B" ] [ [ V.Int 1; V.Int 2 ] ]) (empty [ "B"; "C" ])
+       [ "B", "B" ])
+    [ [ V.Int 1; V.Int 2 ] ];
+  check_unit "select on empty" (R.select (empty [ "A"; "B" ]) (fun _ -> true)) [];
+  check_unit "project on empty" (R.project (empty [ "A"; "B" ]) [ "A" ]) [];
+  check_unit "group_filter on empty"
+    (Aggregate.group_filter (empty [ "A"; "B" ]) ~keys:[ "A" ] ~func:Aggregate.Count
+       ~threshold:1.)
+    [];
+  Alcotest.(check int) "group_by on empty" 0
+    (List.length (Aggregate.group_by (empty [ "A"; "B" ]) ~keys:[ "A" ] ~func:Aggregate.Count))
 
 let test_all_duplicates () =
   (* Relations are sets, so "all duplicates" means every projected row
-     collapses to one: the dedup paths must agree. *)
+     collapses to one: the dedup paths must agree with the oracle. *)
   let rel =
     R.of_values [ "A"; "B" ]
       (List.init 20 (fun i -> [ V.Int (i mod 2); V.Int 7 ]))
   in
-  unit_both "project all-dup column" (fun () ->
-      R.project (rebuild [ "A"; "B" ] rel) [ "B" ]);
-  unit_both "group_by all-dup key" (fun () ->
-      groups_to_rel [ "B" ] (rebuild [ "A"; "B" ] rel) ~func:Aggregate.Count);
-  unit_both "self equi on all-dup key" (fun () ->
-      let r = rebuild [ "A"; "B" ] rel in
-      Join.equi r (rebuild [ "A"; "B" ] rel) [ "B", "A" ])
+  check_unit "project all-dup column" (R.project rel [ "B" ]) [ [ V.Int 7 ] ];
+  check_unit "group_by all-dup key"
+    (groups_rel [ "B" ]
+       (List.map
+          (fun (k, v) -> Tuple.to_list k, v)
+          (Aggregate.group_by rel ~keys:[ "B" ] ~func:Aggregate.Count)))
+    [ [ V.Int 7; V.Real 2. ] ];
+  check_unit "self equi on all-dup key"
+    (Join.equi rel rel [ "B", "A" ])
+    (oracle_equi rel rel [ "B", "A" ])
 
 let test_single_column () =
   let rel = R.of_values [ "A" ] (List.init 9 (fun i -> [ V.Int (i mod 3) ])) in
-  unit_both "single-column project" (fun () ->
-      R.project (rebuild [ "A" ] rel) [ "A" ]);
-  unit_both "single-column semi self" (fun () ->
-      let r = rebuild [ "A" ] rel in
-      Join.semi r r [ "A", "A" ]);
-  unit_both "single-column group_filter" (fun () ->
-      Aggregate.group_filter (rebuild [ "A" ] rel) ~keys:[ "A" ]
-        ~func:Aggregate.Count ~threshold:1.)
+  let all = [ [ V.Int 0 ]; [ V.Int 1 ]; [ V.Int 2 ] ] in
+  check_unit "single-column project" (R.project rel [ "A" ]) all;
+  check_unit "single-column semi self" (Join.semi rel rel [ "A", "A" ]) all;
+  check_unit "single-column group_filter"
+    (Aggregate.group_filter rel ~keys:[ "A" ] ~func:Aggregate.Count ~threshold:1.)
+    all
 
 (* Values of different types never share a dictionary code: Int 1 and
-   Real 1.0 must stay distinct under both layouts. *)
+   Real 1.0 must stay distinct. *)
 let test_mixed_types () =
   let rel =
     R.of_values [ "A"; "B" ]
@@ -241,13 +273,14 @@ let test_mixed_types () =
         [ V.Int 1; V.Str "y" ];
       ]
   in
-  unit_both "mixed-type project" (fun () ->
-      R.project (rebuild [ "A"; "B" ] rel) [ "A" ]);
-  unit_both "mixed-type self join" (fun () ->
-      let r = rebuild [ "A"; "B" ] rel in
-      Join.equi r (rebuild [ "A"; "B" ] rel) [ "A", "A" ])
+  check_unit "mixed-type project" (R.project rel [ "A" ]) [ [ V.Int 1 ]; [ V.Real 1.0 ] ];
+  check_unit "mixed-type self join"
+    (Join.equi rel rel [ "A", "A" ])
+    (oracle_equi rel rel [ "A", "A" ]);
+  Alcotest.(check int) "mixed-type self join size" 5
+    (R.cardinal (Join.equi rel rel [ "A", "A" ]))
 
-(* {1 The full-stack corpus under forced layouts and pool sizes} *)
+(* {1 The full-stack corpus under forced pool sizes} *)
 
 let run_executors cat flock =
   let direct = Direct.run cat flock in
@@ -269,7 +302,7 @@ let run_executors cat flock =
     "dynamic", dynamic;
   ]
 
-let test_corpus_layout_insensitive () =
+let test_corpus_pool_insensitive () =
   let seeds = List.init 100 Fun.id in
   Fun.protect
     ~finally:(fun () -> Pool.set_default_size (Pool.default_size ()))
@@ -278,39 +311,30 @@ let test_corpus_layout_insensitive () =
         (fun seed ->
           let rel, threshold = instance ~seed gen_basket_instance in
           let flock = pair_flock threshold in
-          (* Reference: the row engine on a sequential pool. *)
-          Pool.set_default_size 1;
-          let expected =
-            with_layout Layout.Row (fun () -> Direct.run (catalog_of rel) flock)
-          in
+          let expected = Naive.run (catalog_of rel) flock in
           List.iter
-            (fun mode ->
+            (fun domains ->
+              Pool.set_default_size domains;
               List.iter
-                (fun domains ->
-                  Pool.set_default_size domains;
-                  with_layout mode (fun () ->
-                      List.iter
-                        (fun (name, got) ->
-                          if not (R.equal expected got) then
-                            Alcotest.failf
-                              "seed %d: %s under %s layout / %d domains \
-                               disagrees with row direct (threshold %d)\n%s"
-                              seed name (Layout.to_string mode) domains
-                              threshold (pp_relation rel))
-                        (run_executors (catalog_of rel) flock)))
-                [ 1; 4 ])
-            [ Layout.Row; Layout.Columnar ])
+                (fun (name, got) ->
+                  if not (R.equal expected got) then
+                    Alcotest.failf
+                      "seed %d: %s at %d domains disagrees with Naive \
+                       (threshold %d)\n%s"
+                      seed name domains threshold (pp_relation rel))
+                (run_executors (catalog_of rel) flock))
+            [ 1; 4 ])
         seeds)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      join_prop (fun a b p -> Join.equi a b p) "equi";
-      join_prop (fun a b p -> Join.semi a b p) "semi";
-      join_prop (fun a b p -> Join.anti a b p) "anti";
-      join_prop_par (fun a b p -> Join.equi ~par_threshold:0 a b p) "equi";
-      join_prop_par (fun a b p -> Join.semi ~par_threshold:0 a b p) "semi";
-      join_prop_par (fun a b p -> Join.anti ~par_threshold:0 a b p) "anti";
+      join_prop (fun a b p -> Join.equi a b p) oracle_equi "equi";
+      join_prop (fun a b p -> Join.semi a b p) semi_oracle "semi";
+      join_prop (fun a b p -> Join.anti a b p) anti_oracle "anti";
+      join_prop_par (fun a b p -> Join.equi ~par_threshold:0 a b p) oracle_equi "equi";
+      join_prop_par (fun a b p -> Join.semi ~par_threshold:0 a b p) semi_oracle "semi";
+      join_prop_par (fun a b p -> Join.anti ~par_threshold:0 a b p) anti_oracle "anti";
       select_prop;
       project_prop;
       project_single_prop;
@@ -324,6 +348,6 @@ let suite =
       Alcotest.test_case "all-duplicate rows" `Quick test_all_duplicates;
       Alcotest.test_case "single-column relations" `Quick test_single_column;
       Alcotest.test_case "mixed value types" `Quick test_mixed_types;
-      Alcotest.test_case "100-seed corpus: layout and pool insensitive" `Quick
-        test_corpus_layout_insensitive;
+      Alcotest.test_case "100-seed corpus: pool insensitive, agrees with Naive"
+        `Quick test_corpus_pool_insensitive;
     ]

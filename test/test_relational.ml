@@ -102,14 +102,28 @@ let test_index () =
     Relation.of_values [ "X"; "Y" ]
       Value.[ [ Int 1; Int 10 ]; [ Int 1; Int 20 ]; [ Int 2; Int 30 ] ]
   in
-  let idx = Index.build_on r [ "X" ] in
-  check_int "key count" 2 (Index.key_count idx);
-  check_int "group size" 2 (List.length (Index.lookup idx (t [ 1 ])));
-  check_int "missing key" 0 (List.length (Index.lookup idx (t [ 9 ])));
+  (* Rows whose key codes equal [key], by walking the key's bucket chain. *)
+  let matches (idx : Index.t) key =
+    let codes = Array.of_list (List.map (fun i -> Dict.encode (Value.Int i)) key) in
+    let rec walk j n =
+      if j < 0 then n
+      else
+        let hit = Array.for_all2 (fun col c -> col.(j) = c) idx.key_cols codes in
+        walk idx.next.(j) (if hit then n + 1 else n)
+    in
+    walk idx.heads.(Chunkrel.hash_codes codes land idx.mask) 0
+  in
+  let idx = Index.build r [ 0 ] in
+  check_int "key count" 2
+    (Array.length (Chunkrel.distinct_rows idx.key_cols (Relation.cardinal r)));
+  check_int "group size" 2 (matches idx [ 1 ]);
+  check_bool "mem_codes agrees" true (Index.mem_codes idx [| Dict.encode (Value.Int 1) |]);
+  check_int "missing key" 0 (matches idx [ 9 ]);
+  check_bool "mem_codes on a missing key" false
+    (Index.mem_codes idx [| Dict.encode (Value.Int 9) |]);
   (* Empty column list: everything shares the empty key (cross product). *)
-  let all = Index.build_on r [] in
-  check_int "empty key groups all" 3
-    (List.length (Index.lookup all (Tuple.of_array [||])))
+  let all = Index.build r [] in
+  check_int "empty key groups all" 3 (matches all [])
 
 let test_statistics () =
   let r =

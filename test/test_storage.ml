@@ -1,6 +1,9 @@
 (* The storage substrate: binary codec, slotted pages, buffer pool, heap
    files, and the directory store. *)
 open Qf_storage
+module Codec = Qf_relational.Codec
+module Page = Qf_relational.Page
+module Heap_file = Qf_relational.Heap_file
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
 module Schema = Qf_relational.Schema
