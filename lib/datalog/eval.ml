@@ -35,7 +35,13 @@ module Envs = struct
      column in every row.  Binding extension probes the {!Index.t} chains
      directly over code arrays, filters compare codes, and parallel steps
      emit per-chunk {!Chunkrel.Buf}s merged by a single blit — no per-row
-     boxing anywhere on the hot path. *)
+     boxing anywhere on the hot path.
+
+     Rows are pairwise distinct, by induction over the literals: the start
+     set is one row; an extension appends to each (distinct) row the fresh
+     columns of each matching tuple, and two tuples of a set relation that
+     agree on the probed key positions differ in a fresh column (a
+     fully bound atom matches at most once); a filter keeps a subset. *)
   type t = {
     slots : (string * int) list;
     width : int;
@@ -50,62 +56,141 @@ module Envs = struct
 
   (* A step produces per-chunk [Buf]s (each an [(emitted rows) * stride]
      run of codes) and merges them with one pre-sized allocation and
-     [Array.blit] per chunk — the merge never boxes a row. *)
+     [Array.blit] per chunk — the merge never boxes a row.  Every
+     materialized environment set passes through here, so this is where
+     [eval.env_rows] is counted. *)
   let merge_code_chunks slots ~width pieces =
-    {
-      slots;
-      width;
-      count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces;
-      data = Buf.concat (List.map snd pieces);
-    }
+    let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
+    Obs.count "eval.env_rows" count;
+    { slots; width; count; data = Buf.concat (List.map snd pieces) }
 
-  (* [filter_codes mk_pred t] keeps the rows satisfying the predicate
-     ([mk_pred ()] is called once per chunk so predicates may own scratch
-     buffers; the predicate receives the row's base offset). *)
-  let filter_codes mk_pred { slots; width; count; data } =
+  (* [run ~lo ~hi] over rows [0, count), chunked across the pool when the
+     set is large enough to pay for it. *)
+  let chunked count run =
+    let pool = Pool.default () in
+    if Pool.size pool = 1 || count < Pool.par_threshold () then
+      [ run ~lo:0 ~hi:count ]
+    else Pool.run_chunks pool ~n:count run
+
+  (* {2 Ready literals}
+
+     A literal whose terms are all bound compiles once into a predicate
+     over (environment row base offset, candidate row).  The same compiled
+     form serves a stand-alone filter pass (no candidate: the row argument
+     is unused) and the check fused into a binding extension's probe loop,
+     where the bindings being made are read straight from the candidate
+     tuple's columns.  [mk ()] is called once per chunk, so a membership
+     predicate may own its scratch probe key. *)
+
+  (* Where a term's code is read from: a pre-encoded constant, a column of
+     the environment row, or a column of the candidate tuple. *)
+  type src =
+    | Code of int
+    | Slot of int
+    | Cand of int array
+
+  let read data base row = function
+    | Code c -> c
+    | Slot s -> Array.unsafe_get data (base + s)
+    | Cand col -> Array.unsafe_get col row
+
+  (* [fresh] maps the keys an extension is binding to candidate columns. *)
+  let src_of ?(fresh = []) t = function
+    | Ast.Const v -> Code (Dict.encode v)
+    | (Ast.Var _ | Ast.Param _) as term -> (
+      let key = Ast.binding_key term in
+      match slot_of t key, List.assoc_opt key fresh with
+      | Some s, _ -> Slot s
+      | None, Some col -> Cand col
+      | None, None -> errorf "unbound %s in a filtering subgoal" key)
+
+  (* A transient full-arity code index for membership filtering.  Built
+     with [Index.build] directly — NOT through the catalog cache — so
+     negation tests move no [index_cache] hit/miss counters. *)
+  let membership_index rel =
+    Index.build rel (List.init (Relation.arity rel) Fun.id)
+
+  let membership ci srcs data ~want =
+    let srcs = Array.of_list srcs in
+    let n = Array.length srcs in
+    fun () ->
+      let probe = Array.make n 0 in
+      fun base row ->
+        for k = 0 to n - 1 do
+          probe.(k) <- read data base row (Array.unsafe_get srcs k)
+        done;
+        Index.mem_codes ci probe = want
+
+  (* [Eq]/[Ne] compare codes: the dictionary is injective, and
+     [Value.compare] is 0 exactly on equal values.  Ordered comparisons
+     decode. *)
+  let compile_cmp src data l c r =
+    let l = src l and r = src r in
+    match c with
+    | Ast.Eq -> fun () base row -> read data base row l = read data base row r
+    | Ast.Ne -> fun () base row -> read data base row l <> read data base row r
+    | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
+      fun () base row ->
+        Ast.comparison_eval
+          (Value.compare
+             (Dict.decode (read data base row l))
+             (Dict.decode (read data base row r)))
+          c
+
+  (* A fully bound positive subgoal probes the catalog index on all its
+     positions — the index a binding extension of that atom would ask for.
+     A negation probes a transient index (see {!membership_index}). *)
+  let compile catalog src data = function
+    | Ast.Cmp (l, c, r) -> compile_cmp src data l c r
+    | Ast.Neg a ->
+      membership
+        (membership_index (relation_for catalog a))
+        (List.map src a.args) data ~want:false
+    | Ast.Pos a ->
+      let rel = relation_for catalog a in
+      membership
+        (Catalog.index catalog rel (List.init (Relation.arity rel) Fun.id))
+        (List.map src a.args) data ~want:true
+
+  let conj mks () =
+    let preds = Array.of_list (List.map (fun mk -> mk ()) mks) in
+    let n = Array.length preds in
+    fun base row ->
+      let rec all i =
+        i >= n || ((Array.unsafe_get preds i) base row && all (i + 1))
+      in
+      all 0
+
+  (* [filter_codes mk t] keeps the rows satisfying the compiled predicate. *)
+  let filter_codes mk { slots; width; count; data } =
     let run ~lo ~hi =
-      let pred = mk_pred () in
+      let pred = mk () in
       let out = Buf.create ((hi - lo) * width) in
       let kept = ref 0 in
       for r = lo to hi - 1 do
         let base = r * width in
-        if pred base then begin
+        if pred base (-1) then begin
           incr kept;
           for c = 0 to width - 1 do Buf.push out data.(base + c) done
         end
       done;
       !kept, out
     in
-    let pool = Pool.default () in
-    let pieces =
-      if Pool.size pool = 1 || count < Pool.par_threshold () then
-        [ run ~lo:0 ~hi:count ]
-      else Pool.run_chunks pool ~n:count run
-    in
-    merge_code_chunks slots ~width pieces
+    merge_code_chunks slots ~width (chunked count run)
 
-  (* A term as seen by the code engine: a pre-encoded constant or a slot
-     offset into the current row. *)
-  let code_spec t = function
-    | Ast.Const v -> `Const (Dict.encode v)
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> `Slot s
-      | None -> errorf "unbound %s in non-positive subgoal" key)
+  let filter_ready catalog t lits =
+    filter_codes (conj (List.map (compile catalog (src_of t) t.data) lits)) t
 
-  (* A transient full-arity code index for membership filtering.  Built
-     with [Index.build] directly — NOT through the catalog cache — so
-     membership tests move no [index_cache] hit/miss counters. *)
-  let membership_index rel =
-    Index.build rel (List.init (Relation.arity rel) Fun.id)
+  let filter_neg catalog t a = filter_ready catalog t [ Ast.Neg a ]
+  let filter_cmp t l c r = filter_codes (compile_cmp (src_of t) t.data l c r) t
+
+  (* {2 Binding extension} *)
 
   (* How each argument position of an atom is consumed given current slots:
      part of the lookup key, a fresh binding, or an intra-tuple check
      against a fresh binding made at an earlier position. *)
   type arg_role =
-    | Key_const of Value.t
-    | Key_slot of int  (** row column *)
+    | Key of src  (** a constant or a row column *)
     | Bind_new  (** first occurrence of an unbound key *)
     | Check_new of int  (** later occurrence; index into the new-values list *)
 
@@ -115,11 +200,11 @@ module Envs = struct
       List.map
         (fun arg ->
           match arg with
-          | Ast.Const v -> Key_const v
+          | Ast.Const v -> Key (Code (Dict.encode v))
           | Ast.Var _ | Ast.Param _ -> (
             let key = Ast.binding_key arg in
             match slot_of t key with
-            | Some s -> Key_slot s
+            | Some s -> Key (Slot s)
             | None -> (
               match
                 List.find_index (fun k -> String.equal k key) (List.rev !fresh)
@@ -144,8 +229,13 @@ module Envs = struct
      Rejections are totted up in one atomic and flushed as a single
      [sip.rows_pruned] count: the set of key-matched candidates examined
      is the same under any chunking, so the total is deterministic across
-     pool sizes (the invariant the differential suite pins down). *)
-  let extend_pos ?(sip = []) catalog t (a : Ast.atom) =
+     pool sizes (the invariant the differential suite pins down).
+
+     [ready] literals are tested on each candidate that passes the SIP
+     check, before its row is emitted, so a rejected candidate is never
+     materialized and [sip.rows_pruned] is the same as when they run as
+     separate filters afterwards. *)
+  let extend_pos ?(sip = []) ?(ready = []) catalog t (a : Ast.atom) =
     let rel = relation_for catalog a in
     let roles, fresh_keys = analyze_args t a in
     let key_positions =
@@ -153,7 +243,7 @@ module Envs = struct
         (List.mapi
            (fun i role ->
              match role with
-             | Key_const _ | Key_slot _ -> [ i ]
+             | Key _ -> [ i ]
              | Bind_new | Check_new _ -> [])
            roles)
     in
@@ -171,7 +261,7 @@ module Envs = struct
         match role with
         | Bind_new -> fills := pos :: !fills
         | Check_new i -> checks := (pos, i) :: !checks
-        | Key_const _ | Key_slot _ -> ())
+        | Key _ -> ())
       roles;
     let fills = List.rev !fills and checks = List.rev !checks in
     (* Reducers aligned with the fresh bindings: [(index into the
@@ -199,10 +289,7 @@ module Envs = struct
     let key_specs =
       Array.of_list
         (List.filter_map
-           (function
-             | Key_const v -> Some (`Const (Dict.encode v))
-             | Key_slot s -> Some (`Slot s)
-             | Bind_new | Check_new _ -> None)
+           (function Key src -> Some src | Bind_new | Check_new _ -> None)
            roles)
     in
     let nkeys = Array.length key_specs in
@@ -222,17 +309,19 @@ module Envs = struct
       Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
     in
     let nsips = Array.length sip_cols in
+    let ready_mk =
+      let fresh = List.combine fresh_keys (Array.to_list fill_cols) in
+      conj (List.map (compile catalog (src_of ~fresh t) data) ready)
+    in
     let run ~lo ~hi =
       let out = Buf.create ((hi - lo) * new_width) in
       let emitted = ref 0 in
       let probe = Array.make nkeys 0 in
+      let ready_ok = ready_mk () in
       for r = lo to hi - 1 do
         let base = r * width in
         for k = 0 to nkeys - 1 do
-          probe.(k) <-
-            (match Array.unsafe_get key_specs k with
-            | `Const c -> c
-            | `Slot s -> Array.unsafe_get data (base + s))
+          probe.(k) <- read data base (-1) (Array.unsafe_get key_specs k)
         done;
         let h = Chunkrel.hash_codes probe in
         let j = ref ci.Index.heads.(h land ci.Index.mask) in
@@ -258,7 +347,8 @@ module Envs = struct
             Sip.mem s (Array.unsafe_get col row) && sip_ok (k + 1)
           in
           if keys_eq 0 && checks_ok 0 then begin
-            if sip_ok 0 then begin
+            if not (sip_ok 0) then reject ()
+            else if ready_ok base row then begin
               incr emitted;
               for c = 0 to width - 1 do
                 Buf.push out (Array.unsafe_get data (base + c))
@@ -268,66 +358,17 @@ module Envs = struct
                   (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
               done
             end
-            else reject ()
           end;
           j := ci.Index.next.(row)
         done
       done;
       !emitted, out
     in
-    let pool = Pool.default () in
-    let pieces =
-      if Pool.size pool = 1 || count < Pool.par_threshold () then
-        [ run ~lo:0 ~hi:count ]
-      else Pool.run_chunks pool ~n:count run
-    in
-    let result = merge_code_chunks slots ~width:new_width pieces in
+    let result = merge_code_chunks slots ~width:new_width (chunked count run) in
     (match rejects with
     | Some r -> Obs.count "sip.rows_pruned" (Atomic.get r)
     | None -> ());
     result
-
-  (* [specs] as per {!code_spec}; builds a per-chunk closure that writes
-     the instantiated code tuple into its own scratch array. *)
-  let probe_filler specs data =
-    let specs = Array.of_list specs in
-    let n = Array.length specs in
-    fun () ->
-      let scratch = Array.make n 0 in
-      fun base ->
-        for k = 0 to n - 1 do
-          scratch.(k) <-
-            (match Array.unsafe_get specs k with
-            | `Const c -> c
-            | `Slot s -> Array.unsafe_get data (base + s))
-        done;
-        scratch
-
-  let filter_neg catalog t (a : Ast.atom) =
-    let ci = membership_index (relation_for catalog a) in
-    let mk = probe_filler (List.map (code_spec t) a.args) t.data in
-    let mk_pred () =
-      let fill = mk () in
-      fun base -> not (Index.mem_codes ci (fill base))
-    in
-    filter_codes mk_pred t
-
-  (* A term as a [Value.t] reader over the flat code array (constants are
-     hoisted; slot codes decode through the lock-free dictionary). *)
-  let value_getter t = function
-    | Ast.Const v -> fun (_ : int) -> v
-    | (Ast.Var _ | Ast.Param _) as term -> (
-      let key = Ast.binding_key term in
-      match slot_of t key with
-      | Some s -> fun base -> Dict.decode (Array.unsafe_get t.data (base + s))
-      | None -> errorf "unbound %s in non-positive subgoal" key)
-
-  let filter_cmp t left cmp right =
-    let gl = value_getter t left and gr = value_getter t right in
-    let mk_pred () base =
-      Ast.comparison_eval (Value.compare (gl base) (gr base)) cmp
-    in
-    filter_codes mk_pred t
 
   let key_positions t keys =
     List.map
@@ -337,36 +378,39 @@ module Envs = struct
         | None -> errorf "Envs.project: unbound key %s" key)
       keys
 
-  (* Gather the projected columns out of the stride layout, dedupe the
-     code rows in one open-addressing pass, and hand the surviving
-     distinct rows to the relation as an already-distinct chunk. *)
+  (* Gather the projected columns out of the stride layout and hand the
+     distinct rows to the relation as an already-distinct chunk.  Rows are
+     distinct already (see [t]), so when the keys cover every slot the
+     dedup pass is skipped; otherwise one open-addressing pass dedupes the
+     code rows. *)
   let project t ~keys ~columns =
     let { width; count; data; _ } = t in
+    let positions = key_positions t keys in
     let pcols =
       Array.of_list
         (List.map
            (fun p ->
              Array.init count (fun r -> Array.unsafe_get data ((r * width) + p)))
-           (key_positions t keys))
+           positions)
     in
-    let idxs = Chunkrel.distinct_rows pcols count in
+    let nrows, cols =
+      if List.for_all (fun (_, s) -> List.mem s positions) t.slots then
+        count, pcols
+      else
+        let idxs = Chunkrel.distinct_rows pcols count in
+        Array.length idxs, Chunkrel.gather_cols pcols idxs
+    in
     Relation.of_chunkrel (Schema.of_list columns)
-      {
-        Chunkrel.nrows = Array.length idxs;
-        cols = Chunkrel.gather_cols pcols idxs;
-        rows_cache = None;
-      }
+      { Chunkrel.nrows; cols; rows_cache = None }
 
   let semijoin t ~keys ~keep =
-    let ci = membership_index keep in
-    let mk =
-      probe_filler (List.map (fun s -> `Slot s) (key_positions t keys)) t.data
-    in
-    let mk_pred () =
-      let fill = mk () in
-      fun base -> Index.mem_codes ci (fill base)
-    in
-    filter_codes mk_pred t
+    let srcs = List.map (fun s -> Slot s) (key_positions t keys) in
+    filter_codes (membership (membership_index keep) srcs t.data ~want:true) t
+
+  let rows { width; count; data; _ } =
+    List.init count (fun r ->
+        Tuple.of_array
+          (Array.init width (fun c -> Dict.decode data.((r * width) + c))))
 end
 
 (* {1 Literal ordering} *)
@@ -425,11 +469,21 @@ let order_body catalog (r : Ast.rule) =
       in
       if ready <> [] then loop bound rest (List.rev_append ready ordered)
       else begin
-        (* Pick the cheapest positive subgoal. *)
+        (* Pick the cheapest positive subgoal among those sharing a bound
+           key; a cross product only when none does. *)
         let candidates =
           List.filter_map
             (function Ast.Pos a -> Some a | Ast.Neg _ | Ast.Cmp _ -> None)
             rest
+        in
+        let candidates =
+          match
+            List.filter
+              (fun a -> List.exists (fun k -> List.mem k bound) (atom_keys a))
+              candidates
+          with
+          | [] -> candidates
+          | connected -> connected
         in
         match candidates with
         | [] ->
@@ -495,19 +549,36 @@ let head_columns (r : Ast.rule) =
       if n = 1 then name else Printf.sprintf "%s_%d" name n)
     base
 
+(* Split an ordered body into groups: a positive subgoal that binds a key,
+   followed by the literals that are ready once it has (comparisons,
+   negations, fully bound positives).  Literals ready before anything is
+   bound form a head-less leading group. *)
+let group_body ordered =
+  let rec go bound groups = function
+    | [] -> List.rev_map (fun (head, ready) -> head, List.rev ready) groups
+    | lit :: rest -> (
+      match lit, groups with
+      | Ast.Pos a, _
+        when List.exists (fun k -> not (List.mem k bound)) (atom_keys a) ->
+        go (atom_keys a @ bound) ((Some a, []) :: groups) rest
+      | _, (head, ready) :: groups ->
+        go bound ((head, lit :: ready) :: groups) rest
+      | _, [] -> go bound [ None, [ lit ] ] rest)
+  in
+  go [] [] ordered
+
 let run_body ?sip catalog (r : Ast.rule) =
-  let ordered = order_body catalog r in
   List.fold_left
-    (fun envs lit ->
-      (* Literal boundaries are the evaluator's cancellation checkpoints:
+    (fun envs (head, ready) ->
+      (* Group boundaries are the evaluator's cancellation checkpoints:
          a governed deadline interrupts a rule between joins (one atomic
-         load per literal when ungoverned). *)
+         load per group when ungoverned). *)
       Qf_governor.Governor.check ();
-      match lit with
-      | Ast.Pos a -> Envs.extend_pos ?sip catalog envs a
-      | Ast.Neg a -> Envs.filter_neg catalog envs a
-      | Ast.Cmp (l, c, rt) -> Envs.filter_cmp envs l c rt)
-    (Envs.start ()) ordered
+      match head with
+      | Some a -> Envs.extend_pos ?sip ~ready catalog envs a
+      | None -> Envs.filter_ready catalog envs ready)
+    (Envs.start ())
+    (group_body (order_body catalog r))
 
 let head_keys (r : Ast.rule) =
   List.map

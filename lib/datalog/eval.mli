@@ -5,7 +5,10 @@
     {!Ast.binding_key}) to values; a positive subgoal extends each
     environment with the matching tuples of its stored relation, found
     through a hash index on the already-bound argument positions; negated
-    and arithmetic subgoals filter environments once their terms are bound.
+    and arithmetic subgoals, and positive subgoals whose terms are all
+    bound, filter environments once their terms are bound.  A whole-rule
+    evaluation tests those filters inside the extension that binds their
+    last term, so a row they reject is never materialized.
 
     The incremental {!Envs} interface is exposed because the dynamic
     query-flock executor (paper Sec. 4.4) interleaves these steps with
@@ -39,9 +42,21 @@ module Envs : sig
       rule accepts for that key (reducers have no false negatives, so the
       final result set is unchanged — only intermediate rows shrink).
       Rejections are flushed as one [sip.rows_pruned] Obs count, whose
-      total is deterministic across pool sizes. *)
+      total is deterministic across pool sizes.
+
+      [ready] are literals whose terms are all bound once the atom's fresh
+      bindings exist: comparisons, negations and fully bound positive
+      subgoals.  Each candidate match that passes the SIP check is tested
+      against them, and only survivors are emitted — the result equals
+      extending and then filtering literal by literal, without
+      materializing the rejected rows.  Raises {!Error} if a ready literal
+      has a term that is still unbound.
+
+      Every materialized environment set (here and in the filters below)
+      adds its row count to the [eval.env_rows] Obs counter. *)
   val extend_pos :
     ?sip:(string * Qf_relational.Sip.t) list ->
+    ?ready:Ast.literal list ->
     Qf_relational.Catalog.t ->
     t ->
     Ast.atom ->
@@ -62,6 +77,10 @@ module Envs : sig
   (** [semijoin envs ~keys ~keep] keeps environments whose [keys]-projection
       is a tuple of [keep] — the pruning step of dynamic evaluation. *)
   val semijoin : t -> keys:string list -> keep:Qf_relational.Relation.t -> t
+
+  (** The environments as tuples of their values in {!bound_keys} order.
+      Environments are pairwise distinct. *)
+  val rows : t -> Qf_relational.Tuple.t list
 end
 
 (** {1 Literal ordering} *)
@@ -69,7 +88,10 @@ end
 (** Greedy cost-based ordering of a body: repeatedly emit every negated and
     arithmetic subgoal whose terms are bound, then the positive subgoal with
     the fewest estimated index matches (System-R-style, using catalog
-    statistics).  Raises {!Error} if the rule is unsafe. *)
+    statistics) among those sharing a bound key with what is already
+    placed.  Only when no remaining positive subgoal is connected does a
+    cross product compete, against all candidates.  Raises {!Error} if the
+    rule is unsafe. *)
 val order_body : Qf_relational.Catalog.t -> Ast.rule -> Ast.literal list
 
 (** {1 Whole-rule evaluation} *)

@@ -1,5 +1,7 @@
 (* A small state-machine CSV reader: handles quoted fields with embedded
-   commas, doubled quotes, and newlines.  Rows are value-string lists. *)
+   commas, doubled quotes, and newlines.  A line ends at [\n] or [\r\n]; a
+   lone [\r] is data.  A leading UTF-8 byte-order mark is skipped.  Rows
+   are value-string lists. *)
 let parse_rows text =
   let rows = ref [] and fields = ref [] and buf = Buffer.create 32 in
   let push_field () =
@@ -22,7 +24,7 @@ let parse_rows text =
       | '\n' ->
         push_row ();
         plain (i + 1)
-      | '\r' -> plain (i + 1)
+      | '\r' when i + 1 < n && text.[i + 1] = '\n' -> plain (i + 1)
       | '"' when Buffer.length buf = 0 -> quoted (i + 1)
       | c ->
         Buffer.add_char buf c;
@@ -39,7 +41,7 @@ let parse_rows text =
         Buffer.add_char buf c;
         quoted (i + 1)
   in
-  plain 0;
+  plain (if String.starts_with ~prefix:"\xEF\xBB\xBF" text then 3 else 0);
   List.rev !rows
 
 let parse_string text =

@@ -3,7 +3,9 @@
     Format: first line is the header (column names), subsequent lines are
     rows.  Fields are comma-separated; a field containing a comma, a double
     quote or a newline is written double-quoted with embedded quotes doubled,
-    and such quoting is understood on input.  Field values are parsed with
+    and such quoting is understood on input.  On input a line ends at
+    [\n] or [\r\n]; a lone [\r] is field data (written quoted).  A
+    leading UTF-8 byte-order mark is ignored.  Field values are parsed with
     {!Value.of_string} (integers, then floats, then strings). *)
 
 (** Raises [Failure] on malformed input. *)

@@ -100,7 +100,10 @@ let gen_safe_rule =
       let* args = list_size (return arity) gen_fresh_term in
       return { Ast.pred = name; args }
     in
-    let* n_pos = int_range 1 3 in
+    (* Up to four atoms over three predicates, so bodies with a
+       disconnected subgoal, a fully bound positive (bound once earlier
+       atoms ran) and a repeated atom all occur. *)
+    let* n_pos = int_range 1 4 in
     let* pos_atoms = list_size (return n_pos) gen_pos in
     let bound =
       List.concat_map

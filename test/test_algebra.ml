@@ -144,6 +144,43 @@ let test_csv_file_roundtrip () =
   Sys.remove path;
   check_bool "file roundtrip" true (Relation.equal rel back)
 
+let csv_strs text =
+  List.map
+    (fun t ->
+      List.map
+        (function Value.Str s -> s | v -> Value.to_string v)
+        (Tuple.to_list t))
+    (Relation.to_sorted_list (Csv.parse_string text))
+
+let test_csv_line_ends () =
+  let cols text = Schema.columns (Relation.schema (Csv.parse_string text)) in
+  Alcotest.(check (list string))
+    "BOM stripped from the first column name" [ "A"; "B" ]
+    (cols "\xEF\xBB\xBFA,B\n1,2\n");
+  Alcotest.(check (list (list string)))
+    "CRLF line ends" [ [ "1"; "2" ]; [ "3"; "4" ] ]
+    (csv_strs "A,B\r\n1,2\r\n3,4\r\n");
+  check_int "a stray CR is data: a\\rb and ab stay distinct" 2
+    (Relation.cardinal (Csv.parse_string "V\na\rb\nab\n"));
+  Alcotest.(check (list (list string)))
+    "CR inside quotes, then CRLF" [ [ "x\ry" ] ]
+    (csv_strs "V\r\n\"x\ry\"\r\n")
+
+let test_csv_save_load () =
+  let path = Filename.temp_file "qfcsv" ".csv" in
+  let text = "\xEF\xBB\xBFK,V\r\n1,a\rb\r\n2,ab\r\n3,\"q\r\n\"\r\n" in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  let loaded = Csv.load path in
+  Csv.save path loaded;
+  let back = Csv.load path in
+  Sys.remove path;
+  check_int "three rows" 3 (Relation.cardinal loaded);
+  check_bool "stray CR kept" true
+    (Relation.mem loaded (Tuple.of_list Value.[ Int 1; Str "a\rb" ]));
+  check_bool "save then load is the identity" true (Relation.equal loaded back)
+
 let test_catalog () =
   let cat = Catalog.create () in
   Catalog.add cat "r" employees;
@@ -173,5 +210,7 @@ let suite =
     Alcotest.test_case "csv typed roundtrip" `Quick test_csv_typed_roundtrip;
     Alcotest.test_case "csv errors" `Quick test_csv_errors;
     Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
+    Alcotest.test_case "csv BOM, CRLF and stray CR" `Quick test_csv_line_ends;
+    Alcotest.test_case "csv save after load" `Quick test_csv_save_load;
     Alcotest.test_case "catalog" `Quick test_catalog;
   ]

@@ -161,6 +161,49 @@ let test_order_body_starts_small () =
     Alcotest.(check string) "smallest relation first" "color" a.pred
   | _ -> Alcotest.fail "expected positive first"
 
+(* The final body of [Apriori_gen.levelwise_basket ~k:2] on a catalog
+   where [ok_1] is smaller than the per-item fan-out of [baskets]: the
+   cheapest-estimate rule alone would place [ok_1($2)] as a cross product
+   right after [ok_1($1)]. *)
+let test_order_body_connected () =
+  let cat = Catalog.create () in
+  Catalog.add cat "baskets"
+    (R.of_values [ "BID"; "Item" ]
+       (List.concat_map
+          (fun b -> List.map (fun i -> V.[ Int b; Int i ]) [ 1; 2; 3 ])
+          (List.init 10 Fun.id)));
+  Catalog.add cat "ok_1" (R.of_values [ "$1" ] V.[ [ Int 1 ]; [ Int 2 ] ]);
+  let ordered =
+    Eval.order_body cat
+      (rule
+         "answer(B) :- baskets(B,$1) AND baskets(B,$2) AND $1 < $2 AND \
+          ok_1($1) AND ok_1($2)")
+  in
+  let keys (a : Ast.atom) =
+    List.filter_map
+      (function
+        | (Ast.Var _ | Ast.Param _) as t -> Some (Ast.binding_key t)
+        | Ast.Const _ -> None)
+      a.args
+  in
+  let rec walk bound = function
+    | [] -> ()
+    | Ast.Pos a :: rest ->
+      let connected b = List.exists (fun k -> List.mem k bound) (keys b) in
+      if not (connected a) then
+        List.iter
+          (function
+            | Ast.Pos b when connected b ->
+              Alcotest.failf "%s placed while %s is connected"
+                (Pretty.atom_to_string a) (Pretty.atom_to_string b)
+            | _ -> ())
+          rest;
+      walk (keys a @ bound) rest
+    | (Ast.Neg _ | Ast.Cmp _) :: rest -> walk bound rest
+  in
+  walk [] ordered;
+  check_int "every literal placed" 5 (List.length ordered)
+
 let test_envs_incremental_api () =
   let cat = catalog () in
   let envs = Eval.Envs.start () in
@@ -202,5 +245,7 @@ let suite =
     Alcotest.test_case "union tabulation" `Quick test_union;
     Alcotest.test_case "duplicate head variables" `Quick test_duplicate_head_vars;
     Alcotest.test_case "join order heuristic" `Quick test_order_body_starts_small;
+    Alcotest.test_case "join order stays connected" `Quick
+      test_order_body_connected;
     Alcotest.test_case "incremental Envs API" `Quick test_envs_incremental_api;
   ]

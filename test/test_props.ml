@@ -293,6 +293,107 @@ let prop_minimize_preserves_semantics =
            (Qf_datalog.Eval.tabulate catalog rule)
            (Qf_datalog.Eval.tabulate catalog minimized))
 
+(* {1 Fused tabulation vs a literal-at-a-time walk} *)
+
+module Eval = Qf_datalog.Eval
+module Obs = Qf_obs.Obs
+
+(* Walk a body one literal at a time in the evaluator's order, as the
+   dynamic executor does, calling [on_step] after every literal. *)
+let walk_literals ?sip ?(on_step = ignore) catalog rule =
+  List.fold_left
+    (fun envs lit ->
+      let envs =
+        match lit with
+        | Ast.Pos a -> Eval.Envs.extend_pos ?sip catalog envs a
+        | Ast.Neg a -> Eval.Envs.filter_neg catalog envs a
+        | Ast.Cmp (l, c, r) -> Eval.Envs.filter_cmp envs l c r
+      in
+      on_step envs;
+      envs)
+    (Eval.Envs.start ())
+    (Eval.order_body catalog rule)
+
+let prop_envs_rows_distinct =
+  QCheck.Test.make
+    ~name:"environment rows are pairwise distinct after every literal"
+    ~count:300 arb_rule_and_catalog (fun (rule, catalog) ->
+      let distinct envs =
+        let rows = Eval.Envs.rows envs in
+        List.length rows = Eval.Envs.count envs
+        && List.length (List.sort_uniq Qf_relational.Tuple.compare rows)
+           = List.length rows
+      in
+      let ok = ref true in
+      let on_step envs = ok := !ok && distinct envs in
+      ignore (walk_literals catalog rule ~on_step);
+      !ok)
+
+(* Random SIP reducers over the generator's binding keys: whatever they
+   keep, both evaluations must apply them at the same extensions. *)
+let gen_sip =
+  QCheck.Gen.(
+    list_size (int_range 0 3)
+      (pair
+         (oneofl [ "X"; "Y"; "Z"; "$a"; "$b" ])
+         (list_size (int_range 0 4) (int_range 0 3))))
+
+let arb_rule_catalog_sip =
+  QCheck.make
+    ~print:(fun ((rule, _), sip) ->
+      Printf.sprintf "%s\nsip: %s"
+        (Qf_datalog.Pretty.rule_to_string rule)
+        (String.concat "; "
+           (List.map
+              (fun (k, vs) ->
+                Printf.sprintf "%s in {%s}" k
+                  (String.concat "," (List.map string_of_int vs)))
+              sip)))
+    QCheck.Gen.(pair (pair gen_safe_rule gen_tiny_catalog) gen_sip)
+
+let sip_pruned f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let v = f () in
+  ( v,
+    Option.value ~default:0
+      (List.assoc_opt "sip.rows_pruned" (Obs.report ()).Obs.counters) )
+
+let prop_fused_equals_walk =
+  QCheck.Test.make
+    ~name:"fused tabulation = literal-at-a-time walk (answers, sip.rows_pruned)"
+    ~count:300 arb_rule_catalog_sip (fun ((rule, catalog), sip) ->
+      let sip =
+        List.map
+          (fun (k, vs) ->
+            ( k,
+              Qf_relational.Sip.of_values
+                (Array.of_list (List.map (fun i -> V.Int i) vs)) ))
+          sip
+      in
+      let params = List.map (fun p -> "$" ^ p) (Ast.rule_params rule) in
+      let head_vars =
+        List.filter_map
+          (function Ast.Var v -> Some v | Ast.Param _ | Ast.Const _ -> None)
+          rule.Ast.head.args
+      in
+      let tab, fused_pruned =
+        sip_pruned (fun () -> Eval.tabulate ~sip catalog rule)
+      in
+      let walked, walk_pruned =
+        sip_pruned (fun () -> walk_literals ~sip catalog rule)
+      in
+      (* Heads are all variables, or the single constant 0. *)
+      let tab, keys, columns =
+        if List.length head_vars = List.length rule.Ast.head.args then
+          tab, params @ head_vars, params @ Eval.head_columns rule
+        else R.project tab params, params, params
+      in
+      fused_pruned = walk_pruned
+      && R.equal tab (Eval.Envs.project walked ~keys ~columns))
+
 (* {1 Parser round-trip on random ASTs} *)
 
 let prop_pretty_parse_roundtrip =
@@ -356,6 +457,8 @@ let suite =
       prop_subquery_upper_bound;
       prop_eval_matches_reference;
       prop_minimize_preserves_semantics;
+      prop_envs_rows_distinct;
+      prop_fused_equals_walk;
       prop_pretty_parse_roundtrip;
       prop_apriori_vs_bruteforce;
     ]
