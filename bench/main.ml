@@ -1383,8 +1383,10 @@ let e16 () =
    unbounded run is the in-memory baseline, the governed runs force the
    group-by/join kernels through the Grace-style spill paths.  The claim
    under test is graceful degradation — identical answers at every
-   budget, spilling visible in the governor's stats, and a bounded
-   slowdown (disk pages instead of an OOM kill). *)
+   budget that can hold the largest single group, spilling visible in the
+   governor's stats, a bounded slowdown (disk pages instead of an OOM
+   kill), and a typed governor error, reported as that budget's row, for
+   a budget too small for any partition split to fit. *)
 
 module Governor = Qf_governor.Governor
 
@@ -1397,15 +1399,19 @@ type e17_entry = {
   e17_peak_bytes : int;
   e17_spill_partitions : int;
   e17_spilled_rows : int;
+  e17_error : string option;
 }
 
 let e17_write_json entries =
   let oc = open_out e17_json_file in
+  (* A failed budget has no time: its timing fields are [null]. *)
+  let num fmt v = if Float.is_nan v then "null" else Printf.sprintf fmt v in
   let field e =
     Printf.sprintf
-      {|    { "budget": %S, "best_s": %.6f, "slowdown": %.2f, "peak_bytes": %d, "spill_partitions": %d, "spilled_rows": %d }|}
-      e.e17_budget e.e17_best_s e.e17_slowdown e.e17_peak_bytes
-      e.e17_spill_partitions e.e17_spilled_rows
+      {|    { "budget": %S, "best_s": %s, "slowdown": %s, "peak_bytes": %d, "spill_partitions": %d, "spilled_rows": %d, "error": %s }|}
+      e.e17_budget (num "%.6f" e.e17_best_s) (num "%.2f" e.e17_slowdown)
+      e.e17_peak_bytes e.e17_spill_partitions e.e17_spilled_rows
+      (match e.e17_error with None -> "null" | Some m -> Printf.sprintf "%S" m)
   in
   Printf.fprintf oc
     "{\n\
@@ -1438,38 +1444,57 @@ let e17 () =
   let _, plan = Apriori_gen.levelwise_basket ~pred:"baskets" ~k:3 ~support in
   let reps = if !quick then 3 else 5 in
   let budgets =
-    [ "unbounded", max_int; "1m", 1024 * 1024; "64k", 65536 ]
+    [ "unbounded", max_int; "1m", 1024 * 1024; "256k", 262144; "64k", 65536 ]
   in
+  (* [Ok (result, best)] or the typed governor error that stopped the
+     run, with the governor's stats either way. *)
   let run_with budget =
     let stats = ref None in
-    let result, best =
-      time_best reps (fun () ->
-          (* A memo hit would skip the kernels entirely and no budget
-             could ever trip; every sample executes the plan cold. *)
-          Catalog.memo_clear catalog;
-          let g = Governor.create ~mem_budget:budget () in
-          let r = Governor.with_ctx g (fun () -> Plan_exec.run catalog plan) in
-          stats := Some (Governor.stats g);
-          r)
+    let outcome =
+      match
+        time_best reps (fun () ->
+            (* A memo hit would skip the kernels entirely and no budget
+               could ever trip; every sample executes the plan cold. *)
+            Catalog.memo_clear catalog;
+            let g = Governor.create ~mem_budget:budget () in
+            stats := Some g;
+            Governor.with_ctx g (fun () -> Plan_exec.run catalog plan))
+      with
+      | v -> Ok v
+      | exception
+          ((Governor.Over_budget _ | Governor.Deadline_exceeded _
+           | Governor.Cancelled) as e) ->
+        Error (Printexc.to_string e)
     in
-    result, best, Option.get !stats
+    outcome, Governor.stats (Option.get !stats)
   in
-  let baseline_result, baseline_best, baseline_stats = run_with max_int in
+  let baseline, baseline_stats = run_with max_int in
+  let baseline_result, baseline_best =
+    match baseline with
+    | Ok v -> v
+    | Error e -> failwith ("E17 unbounded: " ^ e)
+  in
   let entries =
     List.map
       (fun (name, budget) ->
-        let result, best, stats =
-          if budget = max_int then
-            baseline_result, baseline_best, baseline_stats
-          else run_with budget
+        let label = Printf.sprintf "budget %s" name in
+        let outcome, stats =
+          if budget = max_int then baseline, baseline_stats else run_with budget
         in
-        check_equal (Printf.sprintf "E17 %s" name) baseline_result result;
-        row
-          "%-26s best %.4fs  slowdown %.2fx  peak %d bytes  %d spill \
-           partitions (%d rows)@."
-          (Printf.sprintf "budget %s" name)
-          best (best /. baseline_best) stats.Governor.peak_bytes
-          stats.Governor.spill_partitions stats.Governor.spilled_rows;
+        let best, error =
+          match outcome with
+          | Ok (result, best) ->
+            check_equal ("E17 " ^ name) baseline_result result;
+            row
+              "%-26s best %.4fs  slowdown %.2fx  peak %d bytes  %d spill \
+               partitions (%d rows)@."
+              label best (best /. baseline_best) stats.Governor.peak_bytes
+              stats.Governor.spill_partitions stats.Governor.spilled_rows;
+            best, None
+          | Error e ->
+            row "%-26s typed error: %s@." label e;
+            nan, Some e
+        in
         {
           e17_budget = name;
           e17_best_s = best;
@@ -1477,12 +1502,16 @@ let e17 () =
           e17_peak_bytes = stats.Governor.peak_bytes;
           e17_spill_partitions = stats.Governor.spill_partitions;
           e17_spilled_rows = stats.Governor.spilled_rows;
+          e17_error = error;
         })
       budgets
   in
-  let governed = List.nth entries 2 in
-  if governed.e17_spill_partitions = 0 then
-    row "%-26s WARNING: the 64k budget never spilled@." "";
+  if
+    not
+      (List.exists
+         (fun e -> e.e17_error = None && e.e17_spill_partitions > 0)
+         entries)
+  then row "%-26s WARNING: no budget spilled and still fit@." "";
   if !json then e17_write_json entries
 
 (* {1 Driver} *)

@@ -265,8 +265,8 @@ let mem_budget_arg =
     & opt (some string) None
     & info [ "mem-budget" ] ~docv:"BYTES"
         ~doc:
-          "Memory budget: plain bytes, a $(b,k)/$(b,m)/$(b,g) suffix, or \
-           $(b,unbounded).  Join and group-by kernels spill to temp files \
+          "Memory budget: decimal bytes, with an optional $(b,k)/$(b,m)/$(b,g) \
+           suffix, or $(b,unbounded).  Join and group-by kernels spill to temp files \
            when the budget trips; if even spilling cannot fit, $(b,flockc) \
            exits with status 125.  Defaults to $(b,QF_MEM_BUDGET) when set.")
 
@@ -279,9 +279,9 @@ let make_governor ~timeout ~mem_budget =
       | None ->
         Error
           (Printf.sprintf
-             "--mem-budget %S: expected bytes with an optional k/m/g suffix, \
-              or \"unbounded\""
-             s))
+             "--mem-budget %S: expected decimal bytes with an optional k/m/g \
+              suffix (at most %d bytes), or \"unbounded\""
+             s max_int))
     | None ->
       Ok (Option.bind (Sys.getenv_opt "QF_MEM_BUDGET") Governor.budget_of_string)
   in

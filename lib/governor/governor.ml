@@ -52,14 +52,17 @@ let create ?(mem_budget = max_int) ?timeout_s () =
     file_seq = Atomic.make 0;
   }
 
-(* Same syntax as [Catalog.budget_of_env]: bytes, k/m/g suffixes,
-   "unbounded"/"inf". *)
+(* The one byte-budget syntax, shared by [QF_MEM_BUDGET], [--mem-budget]
+   and the catalog's cache budgets: decimal digits only (no sign, no
+   [0x], no [_] separators), an optional k/m/g suffix, or
+   "unbounded"/"inf".  A value past [max_int] is rejected, never
+   wrapped. *)
 let budget_of_string raw =
   let raw = String.trim raw in
   match String.lowercase_ascii raw with
   | "unbounded" | "inf" -> Some max_int
   | "" -> None
-  | s -> (
+  | s ->
     let scale, digits =
       match s.[String.length s - 1] with
       | 'k' -> 1024, String.sub s 0 (String.length s - 1)
@@ -67,9 +70,14 @@ let budget_of_string raw =
       | 'g' -> 1024 * 1024 * 1024, String.sub s 0 (String.length s - 1)
       | _ -> 1, s
     in
-    match int_of_string_opt digits with
-    | Some n when n >= 0 -> Some (n * scale)
-    | Some _ | None -> None)
+    let is_digit c = c >= '0' && c <= '9' in
+    if digits = "" || not (String.for_all is_digit digits) then None
+    else
+      (* [int_of_string_opt] fails on decimal overflow; the scale check
+         keeps the product in range. *)
+      match int_of_string_opt digits with
+      | Some n when n <= max_int / scale -> Some (n * scale)
+      | Some _ | None -> None
 
 let of_env () =
   let budget =

@@ -44,8 +44,11 @@ type stats = {
     starts at {!with_ctx}, not here. *)
 val create : ?mem_budget:int -> ?timeout_s:float -> unit -> t
 
-(** Parse a byte budget: plain bytes, or with a [k]/[m]/[g] suffix, or
-    ["unbounded"]/["inf"] for [max_int].  [None] on malformed input. *)
+(** Parse a byte budget: decimal digits, optionally with a [k]/[m]/[g]
+    suffix, or ["unbounded"]/["inf"] for [max_int].  [None] on anything
+    else (signs, [0x], [_] separators) and on values past [max_int].
+    This is the one parser behind [QF_MEM_BUDGET], [--mem-budget] and the
+    catalog's [QF_INDEX_BUDGET]/[QF_MEMO_BUDGET]. *)
 val budget_of_string : string -> int option
 
 (** Governor described by the environment — [QF_MEM_BUDGET] (bytes,

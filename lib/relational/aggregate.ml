@@ -208,11 +208,7 @@ let partition_rows pool key_cols n =
   let d = Pool.size pool in
   let per_chunk =
     Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        let bufs = Array.init d (fun _ -> Buf.create ((hi - lo) / d + 8)) in
-        for i = lo to hi - 1 do
-          Buf.push bufs.(Chunkrel.hash_key key_cols i mod d) i
-        done;
-        bufs)
+        Chunkrel.scatter key_cols ~parts:d ~lo ~hi)
   in
   List.init d (fun j -> Buf.concat (List.map (fun bufs -> bufs.(j)) per_chunk))
 
@@ -235,28 +231,20 @@ let group_in_memory ?pool ?par_threshold rel ~key_positions ~func =
 (* {1 Spilling group-by}
 
    Under a governed budget too small for the in-memory group table, rows
-   hash-partition by their group key into temp heap-file runs, then each
-   partition groups under a per-partition charge.  Equal keys land in the
-   same partition, so the per-partition groups are exactly the in-memory
-   result — no cross-partition merge is ever needed. *)
+   scatter by their group key into spill runs of dictionary codes, then
+   each partition groups under a per-partition charge (an overflowing
+   partition splits further; see [Spill.partitioned]).  Equal keys land
+   in the same partition, so the per-partition groups are exactly the
+   in-memory result — no cross-partition merge is ever needed. *)
 let spill_groups g rel ~key_positions ~func =
-  let need = 2 * Relation.approx_bytes rel in
-  let parts = Spill.partition_count g ~need in
-  let runs = Spill.partition_by_key g rel ~positions:key_positions ~parts in
-  Fun.protect ~finally:(fun () -> Array.iter Spill.discard runs)
-  @@ fun () ->
-  Spill.note_runs g runs;
-  List.map
-    (fun run ->
-      Governor.check ();
-      let part = Spill.to_relation run in
-      let cost = 2 * Relation.approx_bytes part in
-      Governor.charge g cost;
-      Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-      let chunk = Relation.codes part in
-      group_job chunk (Relation.schema part) ~key_positions ~func
+  let schema = Relation.schema rel in
+  let arity = Schema.arity schema in
+  Spill.partitioned g [| rel |] ~positions:[| key_positions |]
+    ~cost:(fun rows -> 2 * Relation.bytes_for ~arity ~rows:rows.(0))
+    (fun parts ->
+      let chunk = Relation.codes parts.(0) in
+      group_job chunk schema ~key_positions ~func
         (Array.init chunk.Chunkrel.nrows Fun.id))
-    (Array.to_list runs)
 
 let count_groups parts =
   List.fold_left (fun a p -> a + p.keys.Chunkrel.nrows) 0 parts

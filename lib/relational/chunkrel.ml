@@ -162,3 +162,29 @@ module Buf = struct
          0 bufs);
     dst
 end
+
+(* {1 Partitioning} *)
+
+(* [hash_key] folded from a salt-dependent seed: distinct keys that
+   shared a partition get independent hashes under each new salt. *)
+let salted_hash salt key_cols i =
+  let h = ref (mix 17 salt) in
+  for k = 0 to Array.length key_cols - 1 do
+    h := mix !h (Array.unsafe_get (Array.unsafe_get key_cols k) i)
+  done;
+  !h
+
+(* A partition is chosen by the hash's high half: each partition is then
+   grouped, deduplicated or indexed in a power-of-two table slotted by the
+   low bits of the same hash, and partitioning on those bits would leave
+   every row of a partition (of an even count) competing for a fraction of
+   the slots. *)
+let scatter ?(salt = 0) key_cols ~parts ~lo ~hi =
+  let bufs = Array.init parts (fun _ -> Buf.create (((hi - lo) / parts) + 8)) in
+  for i = lo to hi - 1 do
+    let h =
+      if salt = 0 then hash_key key_cols i else salted_hash salt key_cols i
+    in
+    Buf.push (Array.unsafe_get bufs ((h lsr 32) mod parts)) i
+  done;
+  bufs

@@ -80,3 +80,16 @@ module Buf : sig
   (** The buffers' contents, in list order, in one fresh array. *)
   val concat : buf list -> int array
 end
+
+(** {1 Partitioning}
+
+    [scatter ?salt key_cols ~parts ~lo ~hi] splits the row indices
+    [[lo, hi)] into [parts] buffers (each in ascending order) by the high
+    half of [hash_key key_cols i], so equal keys share a buffer.  This is
+    the one partitioner: the pool's parallel grouping and dedup and the
+    spill runs all scatter through it.  A non-zero [salt] folds the key
+    codes from a different seed, so distinct keys that shared a partition
+    under one salt spread over fresh partitions under another (an
+    overflowing spill run splits this way). *)
+val scatter :
+  ?salt:int -> int array array -> parts:int -> lo:int -> hi:int -> Buf.buf array

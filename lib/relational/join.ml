@@ -182,33 +182,23 @@ let equi_chunk ?pool ?par_threshold ~sip a b pos_a pos_b residual_pos =
 (* {1 Grace-style spilling equi-join}
 
    When the governed budget cannot hold the in-memory build index, both
-   sides hash-partition by their join-key into temp heap-file runs
+   sides scatter by their join key into spill runs of dictionary codes
    (equal keys land in the same partition index on both sides), and each
    partition pair runs the in-memory equi body under a per-partition
-   charge.  Partitions are disjoint by key, so the partition outputs are
-   disjoint too and concatenate into the result with no dedup.  SIP
-   prechecks are skipped here — they only prune probe rows that cannot
-   match, so the output is unchanged either way. *)
+   charge (an overflowing pair splits further; see [Spill.partitioned]).
+   Partitions are disjoint by key, so the partition outputs are disjoint
+   too and concatenate into the result with no dedup.  SIP prechecks are
+   skipped here — they only prune probe rows that cannot match, so the
+   output is unchanged either way. *)
 let spill_equi g a b pos_a pos_b residual_pos out_schema =
-  let need = Relation.approx_bytes a + (2 * Relation.approx_bytes b) in
-  let parts = Spill.partition_count g ~need in
-  let runs_a = Spill.partition_by_key g a ~positions:pos_a ~parts in
-  Fun.protect ~finally:(fun () -> Array.iter Spill.discard runs_a)
-  @@ fun () ->
-  let runs_b = Spill.partition_by_key g b ~positions:pos_b ~parts in
-  Fun.protect ~finally:(fun () -> Array.iter Spill.discard runs_b)
-  @@ fun () ->
-  Spill.note_runs g runs_a;
-  Spill.note_runs g runs_b;
+  let arity_a = Relation.arity a and arity_b = Relation.arity b in
   let outputs =
-    List.init parts (fun i ->
-        Governor.check ();
-        let pa = Spill.to_relation runs_a.(i) in
-        let pb = Spill.to_relation runs_b.(i) in
-        let cost = Relation.approx_bytes pa + (2 * Relation.approx_bytes pb) in
-        Governor.charge g cost;
-        Fun.protect ~finally:(fun () -> Governor.release g cost) @@ fun () ->
-        equi_chunk ~sip:[] pa pb pos_a pos_b residual_pos)
+    Spill.partitioned g [| a; b |] ~positions:[| pos_a; pos_b |]
+      ~cost:(fun rows ->
+        Relation.bytes_for ~arity:arity_a ~rows:rows.(0)
+        + (2 * Relation.bytes_for ~arity:arity_b ~rows:rows.(1)))
+      (fun parts ->
+        equi_chunk ~sip:[] parts.(0) parts.(1) pos_a pos_b residual_pos)
   in
   Relation.of_chunkrel out_schema
     (Chunkrel.concat ~arity:(Schema.arity out_schema) outputs)

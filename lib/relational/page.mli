@@ -18,10 +18,12 @@ type t
 (** A fresh empty page. *)
 val create : unit -> t
 
-(** Wrap raw bytes read from disk.  Raises [Failure] if the header is
-    malformed or the length is not {!size}. *)
+(** Wrap raw bytes read from disk, without copying: the page and the
+    buffer share storage.  Raises [Failure] if the header is malformed or
+    the length is not {!size}. *)
 val of_bytes : bytes -> t
 
+(** The page's own buffer (shared, not a copy). *)
 val to_bytes : t -> bytes
 
 (** Number of records. *)

@@ -1,5 +1,5 @@
 type entry = {
-  page : Page.t;
+  frame : Bytes.t;
   mutable dirty : bool;
   mutable last_used : int;  (** logical clock for LRU *)
 }
@@ -43,11 +43,11 @@ let open_file ?(capacity = 64) path =
 
 let page_count t = t.pages
 
-let write_page t id (page : Page.t) =
+let write_frame t id frame =
   (* Fault-injection site: a simulated device write error. *)
   Qf_governor.Fault.point "pager.write";
   seek_out t.channel_out (id * Page.size);
-  output_bytes t.channel_out (Page.to_bytes page);
+  output_bytes t.channel_out frame;
   (* Flush eagerly: the read channel is a separate descriptor on the same
      file, so buffered writes would be invisible to subsequent reads. *)
   Stdlib.flush t.channel_out
@@ -66,7 +66,7 @@ let evict_if_full t =
     match victim with
     | None -> ()
     | Some (id, entry) ->
-      if entry.dirty then write_page t id entry.page;
+      if entry.dirty then write_frame t id entry.frame;
       Hashtbl.remove t.cache id;
       t.evictions <- t.evictions + 1
   end
@@ -81,34 +81,37 @@ let read t id =
   | Some entry ->
     t.hits <- t.hits + 1;
     touch t entry;
-    entry.page
+    entry.frame
   | None ->
     (* Fault-injection site: a simulated device read error on a miss. *)
     Qf_governor.Fault.point "pager.read";
     t.misses <- t.misses + 1;
     evict_if_full t;
     seek_in t.channel_in (id * Page.size);
-    let bytes = Bytes.create Page.size in
-    really_input t.channel_in bytes 0 Page.size;
-    let entry = { page = Page.of_bytes bytes; dirty = false; last_used = 0 } in
+    let frame = Bytes.create Page.size in
+    (try really_input t.channel_in frame 0 Page.size
+     with End_of_file ->
+       failwith (Printf.sprintf "Pager.read: page %d is past the end of file" id));
+    let entry = { frame; dirty = false; last_used = 0 } in
     touch t entry;
     Hashtbl.replace t.cache id entry;
-    entry.page
+    entry.frame
 
 let mark_dirty t id =
   match Hashtbl.find_opt t.cache id with
   | Some entry -> entry.dirty <- true
   | None -> invalid_arg "Pager.mark_dirty: page not cached"
 
-let append t =
+let append t frame =
+  if Bytes.length frame <> Page.size then
+    invalid_arg "Pager.append: frame is not one page long";
   evict_if_full t;
   let id = t.pages in
-  let page = Page.create () in
   t.pages <- t.pages + 1;
-  let entry = { page; dirty = true; last_used = 0 } in
+  let entry = { frame; dirty = true; last_used = 0 } in
   touch t entry;
   Hashtbl.replace t.cache id entry;
-  id, page
+  id
 
 let stats t = t.hits, t.misses, t.evictions
 
@@ -116,11 +119,16 @@ let flush t =
   Hashtbl.iter
     (fun id entry ->
       if entry.dirty then begin
-        write_page t id entry.page;
+        write_frame t id entry.frame;
         entry.dirty <- false
       end)
     t.cache;
   Stdlib.flush t.channel_out
+
+let evict_all t =
+  flush t;
+  t.evictions <- t.evictions + Hashtbl.length t.cache;
+  Hashtbl.reset t.cache
 
 let close t =
   flush t;

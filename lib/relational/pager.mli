@@ -1,8 +1,10 @@
 (** A buffer pool over one page file.
 
-    Pages are cached with an LRU policy; writes mark the cached page dirty
-    and are flushed on eviction, {!flush}, or {!close}.  Page ids are
-    0-based file offsets in page units. *)
+    The pool caches raw {!Page.size}-byte frames with an LRU policy and
+    knows nothing of their layout: heap files read them as slotted
+    {!Page}s, spill runs as fixed-width code rows.  Writes mark the cached
+    frame dirty and are flushed on eviction, {!flush}, or {!close}.  Page
+    ids are 0-based file offsets in page units. *)
 
 type t
 
@@ -14,21 +16,29 @@ val open_file : ?capacity:int -> string -> t
     pages). *)
 val page_count : t -> int
 
-(** Fetch a page (from cache or disk).  Raises [Invalid_argument] on an
-    out-of-range id. *)
-val read : t -> int -> Page.t
+(** Fetch a page's frame (from cache or disk).  The frame is the cached
+    buffer itself: mutate it, then {!mark_dirty}.  Raises
+    [Invalid_argument] on an out-of-range id and [Failure] when the page
+    lies past the end of a truncated file. *)
+val read : t -> int -> Bytes.t
 
 (** Mark a fetched page dirty so eviction/flush persists it.  The page must
     have come from {!read} or {!append}. *)
 val mark_dirty : t -> int -> unit
 
-(** Append a fresh empty page; returns its id.  The page is dirty. *)
-val append : t -> int * Page.t
+(** [append t frame] adds a page holding [frame] (which becomes the cached
+    buffer) and returns its id.  The page is dirty.  Raises
+    [Invalid_argument] unless the frame is {!Page.size} bytes long. *)
+val append : t -> Bytes.t -> int
 
 (** Cache statistics: (hits, misses, evictions). *)
 val stats : t -> int * int * int
 
 val flush : t -> unit
+
+(** Write every dirty page, then empty the cache: later reads come from
+    disk. *)
+val evict_all : t -> unit
 val close : t -> unit
 
 (** Close both channels {e without} flushing dirty pages — for files

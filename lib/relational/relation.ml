@@ -187,13 +187,7 @@ let distinct_rows_par pool pcols n =
   let d = Pool.size pool in
   let buckets_per_chunk =
     Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        let bufs =
-          Array.init d (fun _ -> Chunkrel.Buf.create ((hi - lo) / d + 8))
-        in
-        for i = lo to hi - 1 do
-          Chunkrel.Buf.push bufs.(Chunkrel.hash_key pcols i mod d) i
-        done;
-        bufs)
+        Chunkrel.scatter pcols ~parts:d ~lo ~hi)
   in
   let kept_per_partition =
     Pool.run_all pool
@@ -246,7 +240,8 @@ let column_values t col =
    function of (cardinal, arity) only — never of which representations
    happen to be materialized — so cache eviction order, and therefore the
    memo.evict counters, do not depend on which kernels ran first. *)
-let approx_bytes t = (16 * (arity t + 2) * cardinal t) + 256
+let bytes_for ~arity ~rows = (16 * (arity + 2) * rows) + 256
+let approx_bytes t = bytes_for ~arity:(arity t) ~rows:(cardinal t)
 
 let equal a b =
   arity a = arity b

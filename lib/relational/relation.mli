@@ -95,6 +95,10 @@ val column_values : t -> string -> Value.t list
     representations are materialized. *)
 val approx_bytes : t -> int
 
+(** [bytes_for ~arity ~rows] is {!approx_bytes} of a relation of that
+    shape, for sizing a partition before it is read back from disk. *)
+val bytes_for : arity:int -> rows:int -> int
+
 (** [equal a b] — same set of tuples (schemas must have equal arity). *)
 val equal : t -> t -> bool
 
