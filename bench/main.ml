@@ -22,10 +22,8 @@ let json = ref false
 
 (* {1 Small timing/printing toolkit} *)
 
-(* Monotonic-enough wall clock.  [Sys.time] measures *CPU* time summed
-   over every domain, so under the multicore executor it charges a
-   4-domain run roughly 4x its elapsed time and speedups vanish from the
-   report; wall clock is what the paper's end-to-end claims are about. *)
+(* Wall clock, not [Sys.time] (CPU time): the paper's end-to-end claims
+   are about elapsed time. *)
 let now = Unix.gettimeofday
 
 let time f =
@@ -33,9 +31,27 @@ let time f =
   let v = f () in
   v, now () -. t0
 
-(* Median of three runs: robust enough for the factor-level claims we
-   check, without bechamel's per-run overhead on multi-second workloads. *)
-let time3 f =
+(* Every timed sample must do the work it claims to time.  The catalog's
+   cross-level subplan memo is on by default, so repeating a plan on the
+   same catalog would answer every FILTER step from the first run's
+   entries and time a lookup.  [cold catalog f] clears the memo, runs
+   [f], and fails the experiment if [f] still hit the memo. *)
+let cold catalog f () =
+  Catalog.memo_clear catalog;
+  let hits, _, _ = Catalog.memo_stats catalog in
+  let v = f () in
+  let hits', _, _ = Catalog.memo_stats catalog in
+  if hits' <> hits then
+    failwith
+      (Printf.sprintf "did-work: %d memo hit(s) in a timed sample"
+         (hits' - hits));
+  v
+
+(* Median of three cold runs: robust enough for the factor-level claims
+   we check, without bechamel's per-run overhead on multi-second
+   workloads. *)
+let time3 catalog f =
+  let f = cold catalog f in
   let _, a = time f in
   let v, b = time f in
   let _, c = time f in
@@ -47,7 +63,8 @@ let time3 f =
    sample is the one nearest the true cost.  The E17 spill ablation
    compares budgets against each other, and a single throttled sample in
    a median-of-3 can swing a ratio by an order of magnitude. *)
-let time_best k f =
+let time_best k catalog f =
+  let f = cold catalog f in
   let v, t0 = time f in
   let best = ref t0 in
   for _ = 2 to k do
@@ -90,13 +107,17 @@ let e1 () =
   List.iter
     (fun support ->
       let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.singleton_plan flock with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E1" direct planned;
       row "%-10d %14.3f %14.3f %9.1fx %8d@." support t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -112,14 +133,16 @@ let e2 () =
   in
   let catalog = Qf_workload.Market.catalog config in
   let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
-  let naive, t_naive = time (fun () -> Naive.run catalog flock) in
+  let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
+  let naive, t_naive =
+    time (cold catalog (fun () -> Naive.run catalog flock))
+  in
   let plan =
     match Apriori_gen.singleton_plan flock with Ok p -> p | Error e -> failwith e
   in
-  let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+  let planned, t_plan = time3 catalog (fun () -> Plan_exec.run catalog plan) in
   let dynamic, t_dyn =
-    time3 (fun () ->
+    time3 catalog (fun () ->
         match Dynamic.run catalog flock with
         | Ok r -> r.answers
         | Error e -> failwith e)
@@ -170,7 +193,7 @@ let e3 () =
     Qf_workload.Medical.generate config
   in
   let flock = medical_flock 20 in
-  let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+  let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
   Format.printf
     "workload: %d patients; %d planted side effects; direct finds %d pairs in %.3fs@."
     config.n_patients (List.length planted) (Relation.cardinal direct) t_direct;
@@ -179,7 +202,7 @@ let e3 () =
     match Apriori_gen.param_set_plan flock ~param_sets with
     | Error e -> failwith (name ^ ": " ^ e)
     | Ok plan ->
-      let result, t = time3 (fun () -> Plan_exec.run catalog plan) in
+      let result, t = time3 catalog (fun () -> Plan_exec.run catalog plan) in
       check_equal name direct result;
       row "%-34s %10.3f %8.1fx@." name t (t_direct /. Float.max 1e-9 t)
   in
@@ -190,7 +213,9 @@ let e3 () =
   run_variant "filter ($s,$m) pairs (subquery 4)" [ [ "s"; "m" ] ];
   run_variant "all three filters" [ [ "s" ]; [ "m" ]; [ "s"; "m" ] ];
   let best = Optimizer.optimize catalog flock in
-  let opt_result, t_opt = time3 (fun () -> Plan_exec.run catalog best) in
+  let opt_result, t_opt =
+    time3 catalog (fun () -> Plan_exec.run catalog best)
+  in
   check_equal "optimizer" direct opt_result;
   row "%-34s %10.3f %8.1fx  (%s)@." "cost-based optimizer's choice" t_opt
     (t_direct /. Float.max 1e-9 t_opt)
@@ -229,13 +254,17 @@ let e4 () =
   List.iter
     (fun support ->
       let flock = web_flock support in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.singleton_plan flock with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E4" direct planned;
       row "%-10d %12.3f %12.3f %8.1fx %7d@." support t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -270,9 +299,13 @@ let e5 () =
   List.iter
     (fun n ->
       let flock = Qf_workload.Graph.path_flock ~n ~support:20 in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan = Qf_workload.Graph.chain_plan flock ~n in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E5" direct planned;
       row "%-6d %12.3f %16.3f %8.1fx %7d@." n t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -288,11 +321,13 @@ let e6 () =
       Qf_workload.Medical.generate config
     in
     let flock = medical_flock 20 in
-    let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+    let direct, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
     let static = Optimizer.optimize catalog flock in
-    let s_result, t_static = time3 (fun () -> Plan_exec.run catalog static) in
+    let s_result, t_static =
+      time3 catalog (fun () -> Plan_exec.run catalog static)
+    in
     let d_result, t_dynamic =
-      time3 (fun () ->
+      time3 catalog (fun () ->
           match Dynamic.run catalog flock with
           | Ok r -> r
           | Error e -> failwith e)
@@ -361,13 +396,17 @@ SUM(answer.W) >= %d|}
   List.iter
     (fun support ->
       let flock = flock support in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.singleton_plan flock with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E7" direct planned;
       row "%-10d %12.3f %12.3f %8.1fx %7d@." support t_direct t_plan
         (t_direct /. Float.max 1e-9 t_plan)
@@ -396,10 +435,15 @@ let e8 () =
       let flock, plan =
         Apriori_gen.levelwise_basket ~pred:"baskets" ~k ~support
       in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       let classic, t_classic =
-        time3 (fun () -> Qf_apriori.Apriori.frequent_of_size db ~support ~size:k)
+        time3 catalog (fun () ->
+            Qf_apriori.Apriori.frequent_of_size db ~support ~size:k)
       in
       check_equal "E8 plan" direct planned;
       if List.length classic <> Relation.cardinal direct then
@@ -431,13 +475,17 @@ let e9 () =
       let { Qf_workload.Medical.catalog; _ } =
         Qf_workload.Medical.generate config
       in
-      let direct, t_direct = time3 (fun () -> Direct.run catalog flock) in
+      let direct, t_direct =
+        time3 catalog (fun () -> Direct.run catalog flock)
+      in
       let plan =
         match Apriori_gen.param_set_plan flock ~param_sets:[ [ "s" ] ] with
         | Ok p -> p
         | Error e -> failwith e
       in
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       check_equal "E9" direct planned;
       let model_choice =
         match Optimizer.enumerate catalog flock with
@@ -480,7 +528,9 @@ let e10 () =
   row "%-44s %10s@." "executor configuration" "time (s)";
   List.iter
     (fun (label, options) ->
-      let result, t = time3 (fun () -> Plan_exec.run ~options catalog plan) in
+      let result, t =
+        time3 catalog (fun () -> Plan_exec.run ~options catalog plan)
+      in
       check_equal "E10" expected result;
       row "%-44s %10.3f@." label t)
     [
@@ -509,7 +559,7 @@ let e10 () =
           memoize = false;
         } );
     ];
-  let _, t_direct = time3 (fun () -> Direct.run catalog flock) in
+  let _, t_direct = time3 catalog (fun () -> Direct.run catalog flock) in
   row "%-44s %10.3f@." "direct (no plan at all)" t_direct
 
 (* {1 E11 — Sec. 1.4: DBMS-based vs file-based mining} *)
@@ -544,6 +594,7 @@ let e11 () =
     (Relation.cardinal baskets) pages;
   row "%-10s %16s %18s %18s %7s@." "support" "flock plan (s)"
     "incl. load (s)" "file 2-pass (s)" "pairs";
+  let file_wins = ref 0 in
   List.iter
     (fun support ->
       let flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support in
@@ -553,10 +604,12 @@ let e11 () =
         | Error e -> failwith e
       in
       (* DBMS path, data already loaded. *)
-      let planned, t_plan = time3 (fun () -> Plan_exec.run catalog plan) in
+      let planned, t_plan =
+        time3 catalog (fun () -> Plan_exec.run catalog plan)
+      in
       (* DBMS path including the load from disk. *)
       let _, t_load_and_plan =
-        time3 (fun () ->
+        time3 catalog (fun () ->
             let reopened = Qf_relational.Heap_file.open_existing path in
             let rel = Qf_relational.Heap_file.to_relation reopened in
             Qf_relational.Heap_file.close reopened;
@@ -566,224 +619,19 @@ let e11 () =
       in
       (* File path: streaming two-pass a-priori. *)
       let streamed, t_file =
-        time3 (fun () ->
+        time3 catalog (fun () ->
             Qf_storage.File_mining.frequent_pairs_relation file ~support)
       in
       check_equal "E11" planned streamed;
       row "%-10d %16.3f %18.3f %18.3f %7d@." support t_plan t_load_and_plan
         t_file
-        (Relation.cardinal planned))
+        (Relation.cardinal planned);
+      if t_file < t_plan then incr file_wins)
     [ 20; 50; 100 ];
+  row "the file algorithm beats the loaded flock plan at %d of 3 supports@."
+    !file_wins;
   Qf_relational.Heap_file.close file;
-  Sys.remove path;
-  row
-    "the paper's concession holds: the ad-hoc file algorithm beats the \
-     DBMS-style evaluation, and by more when the load is charged too@."
-
-(* {1 E12 — the multicore execution engine: domain-count scaling} *)
-
-module Pool = Qf_exec_pool.Pool
-
-type e12_entry = {
-  workload : string;
-  domains : int;
-  best_s : float;
-  speedup : float;
-  cache_hits : int;
-  cache_misses : int;
-}
-
-let e12_entries : e12_entry list ref = ref []
-
-let e12_json_file = "BENCH_parallel.json"
-
-let e12_write_json entries =
-  let oc = open_out e12_json_file in
-  let field (e : e12_entry) =
-    Printf.sprintf
-      {|    { "workload": %S, "domains": %d, "best_s": %.6f, "speedup": %.2f, "cache_hits": %d, "cache_misses": %d }|}
-      e.workload e.domains e.best_s e.speedup e.cache_hits e.cache_misses
-  in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"E12\",\n  \"quick\": %b,\n  \"clock\": \
-     \"wall\",\n  \"entries\": [\n%s\n  ]\n}\n"
-    !quick
-    (String.concat ",\n" (List.map field (List.rev entries)));
-  close_out oc;
-  row "wrote %s (%d entries)@." e12_json_file (List.length entries)
-
-let e12 () =
-  header "E12"
-    "multicore execution engine — QF_DOMAINS sweep over the E1 and E3 \
-     workloads";
-  row
-    "pool: %d domain(s) recommended by the runtime on this machine; sweep \
-     forces 1/2/4/8@."
-    (Domain.recommended_domain_count ());
-  let sweep name catalog runs =
-    row "@.%-30s %8s %12s %9s %12s@." name "domains" "best (s)" "speedup"
-      "cache hit%";
-    let sizes = [ 1; 2; 4; 8 ] in
-    let nsizes = List.length sizes in
-    (* Warm-up: build the shared index-cache entries once, so the counter
-       pass below measures every pool size against the same warm cache
-       (otherwise whichever size runs first absorbs all the misses). *)
-    ignore (runs ());
-    (* Pass 1 — correctness and counter attribution, once per pool size.
-       The 1-domain run is the baseline; every other size must produce a
-       [Relation.equal] result.  The index-cache counters live on a cache
-       shared across every [Catalog.copy] a run makes, so a reset would
-       clobber other runs' baselines and cumulative reads conflate runs:
-       mark before, read the delta after. *)
-    let baseline = ref None in
-    let stats =
-      List.map
-        (fun size ->
-          Pool.set_default_size size;
-          let mark = Catalog.index_stats_mark catalog in
-          let result = runs () in
-          let hits, misses = Catalog.index_stats_since catalog mark in
-          (match !baseline with
-          | None -> baseline := Some result
-          | Some expected ->
-            check_equal (Printf.sprintf "E12 %s @ %d domains" name size)
-              expected result);
-          (size, hits, misses))
-        sizes
-    in
-    (* Pass 2 — timing, round-robin: one sample per size per round, so a
-       shared container's scheduling drift lands on every configuration
-       equally instead of biasing whichever ran last.  [Gc.full_major]
-       levels the heap before each sample (no configuration pays to
-       collect another's garbage), and the per-size minimum over the
-       rounds is the noise-robust estimator: interference is strictly
-       additive, so with enough rounds every size touches its true
-       floor.  (On a host with no parallel headroom the floors coincide
-       by construction — the kernels never dispatch — so the reported
-       speedups sit at 1.0 up to residual scheduler jitter.) *)
-    let rounds = if !quick then 7 else 101 in
-    let keep = if !quick then 3 else 11 in
-    let samples = Array.make_matrix nsizes rounds infinity in
-    let order = Array.init nsizes Fun.id in
-    let sizes_arr = Array.of_list sizes in
-    (* Clock-seeded: a fixed seed replays the same within-round order
-       every invocation, so any aliasing against the container's CPU
-       throttling period repeats identically instead of averaging out. *)
-    let rng = ref (int_of_float (Unix.gettimeofday () *. 1e6) land 0x3FFFFFFF) in
-    let next_rng () =
-      rng := ((!rng * 1103515245) + 12345) land 0x3FFFFFFF;
-      (!rng lsr 12) land 0x7FFF
-    in
-    for round = 0 to rounds - 1 do
-      (* Shuffle the within-round order (Fisher–Yates): a fixed order
-         gives every configuration a fixed phase inside the round, and
-         on a CPU-quota'd container that phase aliases with the
-         scheduler's throttling period — a positional bias no per-size
-         estimator can remove.  Randomized order turns it into noise. *)
-      for i = nsizes - 1 downto 1 do
-        let j = next_rng () mod (i + 1) in
-        let tmp = order.(i) in
-        order.(i) <- order.(j);
-        order.(j) <- tmp
-      done;
-      Array.iter
-        (fun i ->
-          Pool.set_default_size sizes_arr.(i);
-          Gc.full_major ();
-          let _, t = time runs in
-          samples.(i).(round) <- t)
-        order
-    done;
-    (* Estimator: mean of the [keep] smallest samples.  Interference is
-       strictly additive, so the smallest samples sit nearest the true
-       cost; averaging several of them has far less variance than the
-       raw minimum, and the slight common upward bias cancels in the
-       speedup ratio. *)
-    let best =
-      Array.map
-        (fun row ->
-          let sorted = Array.copy row in
-          Array.sort compare sorted;
-          let s = ref 0. in
-          for i = 0 to keep - 1 do
-            s := !s +. sorted.(i)
-          done;
-          !s /. float_of_int keep)
-        samples
-    in
-    let t1 = best.(0) in
-    List.iteri
-      (fun i (size, hits, misses) ->
-        let t = best.(i) in
-        let hit_pct =
-          if hits + misses = 0 then 0.
-          else 100. *. float_of_int hits /. float_of_int (hits + misses)
-        in
-        e12_entries :=
-          {
-            workload = name;
-            domains = size;
-            best_s = t;
-            speedup = t1 /. Float.max 1e-9 t;
-            cache_hits = hits;
-            cache_misses = misses;
-          }
-          :: !e12_entries;
-        row "%-30s %8d %12.3f %8.2fx %11.1f%%@." name size t
-          (t1 /. Float.max 1e-9 t)
-          hit_pct)
-      stats
-  in
-  (* The E1 market workload under its a-priori plan. *)
-  let docs = if !quick then 600 else 2500 in
-  let market =
-    Qf_workload.Market.catalog
-      {
-        Qf_workload.Market.n_baskets = docs;
-        n_items = docs * 10;
-        avg_basket_size = 24;
-        zipf_exponent = 0.85;
-        seed = 101;
-      }
-  in
-  let pair_flock = Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:20 in
-  let pair_plan =
-    match Apriori_gen.singleton_plan pair_flock with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  sweep "E1 market / a-priori plan" market (fun () ->
-      Plan_exec.run market pair_plan);
-  (* The E3 medical workload under the Fig. 5 two-filter plan. *)
-  let mconfig =
-    {
-      Qf_workload.Medical.default with
-      n_patients = (if !quick then 2500 else 8000);
-      n_symptoms = 12000;
-      n_medicines = 2000;
-      background_symptoms = 10;
-      background_medicines = 3;
-      symptom_zipf = 0.5;
-      medicine_zipf = 0.5;
-      seed = 31;
-    }
-  in
-  let { Qf_workload.Medical.catalog = medical; _ } =
-    Qf_workload.Medical.generate mconfig
-  in
-  let med_flock = medical_flock 20 in
-  let med_plan =
-    match
-      Apriori_gen.param_set_plan med_flock ~param_sets:[ [ "s" ]; [ "m" ] ]
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  sweep "E3 medical / Fig. 5 plan" medical (fun () ->
-      Plan_exec.run medical med_plan);
-  (* Restore whatever QF_DOMAINS / the hardware asked for. *)
-  Pool.set_default_size (Pool.default_size ());
-  if !json then e12_write_json !e12_entries
+  Sys.remove path
 
 (* {1 E13 — estimator accuracy: System-R estimates vs observed counts} *)
 
@@ -866,9 +714,9 @@ let e13 () =
       estimates report.Plan_exec.steps;
     row "%-26s worst q-error %.2fx@." "" !worst
   in
-  (* Same workloads and plans as E12's scaling sweep (E1 market under its
-     a-priori plan, E3 medical under the Fig. 5 two-filter plan), so the
-     estimator is judged exactly where the end-to-end claims are made. *)
+  (* The E1 market workload under its a-priori plan and the E3 medical
+     workload under the Fig. 5 two-filter plan, so the estimator is judged
+     exactly where the end-to-end claims are made. *)
   let docs = if !quick then 600 else 2500 in
   let market =
     Qf_workload.Market.catalog
@@ -971,22 +819,28 @@ let bechamel_suite () =
   let web_plan =
     match Apriori_gen.singleton_plan web with Ok p -> p | Error e -> failwith e
   in
-  let stage f = Staged.stage f in
+  (* Every call runs cold, like the experiments' own samples. *)
+  let stage catalog f = Staged.stage (cold catalog f) in
   let tests =
     [
-      Test.make ~name:"E1/direct" (stage (fun () -> Direct.run market pair_flock));
+      Test.make ~name:"E1/direct"
+        (stage market (fun () -> Direct.run market pair_flock));
       Test.make ~name:"E1/apriori"
-        (stage (fun () -> Plan_exec.run market pair_plan));
-      Test.make ~name:"E3/direct" (stage (fun () -> Direct.run medical med_flock));
+        (stage market (fun () -> Plan_exec.run market pair_plan));
+      Test.make ~name:"E3/direct"
+        (stage medical (fun () -> Direct.run medical med_flock));
       Test.make ~name:"E3/fig5-plan"
-        (stage (fun () -> Plan_exec.run medical med_plan));
-      Test.make ~name:"E5/direct" (stage (fun () -> Direct.run graph path));
-      Test.make ~name:"E5/chain" (stage (fun () -> Plan_exec.run graph chain));
-      Test.make ~name:"E4/direct" (stage (fun () -> Direct.run webdocs web));
+        (stage medical (fun () -> Plan_exec.run medical med_plan));
+      Test.make ~name:"E5/direct"
+        (stage graph (fun () -> Direct.run graph path));
+      Test.make ~name:"E5/chain"
+        (stage graph (fun () -> Plan_exec.run graph chain));
+      Test.make ~name:"E4/direct"
+        (stage webdocs (fun () -> Direct.run webdocs web));
       Test.make ~name:"E4/union-plan"
-        (stage (fun () -> Plan_exec.run webdocs web_plan));
+        (stage webdocs (fun () -> Plan_exec.run webdocs web_plan));
       Test.make ~name:"E6/dynamic"
-        (stage (fun () ->
+        (stage medical (fun () ->
              match Dynamic.run medical med_flock with
              | Ok r -> r.answers
              | Error e -> failwith e));
@@ -1300,8 +1154,15 @@ let e16 () =
             List.length (List.filter (fun s -> s.Plan_exec.memo_hit) steps) ) ))
       configs
   in
-  (* Timing — round-robin shuffled rounds with the min-of-keep estimator,
-     exactly E12's protocol (see the comments there for why). *)
+  (* Timing — round-robin: one sample per configuration per round, so a
+     shared container's scheduling drift lands on every configuration
+     equally instead of biasing whichever ran last.  [Gc.full_major]
+     levels the heap before each sample (no configuration pays to collect
+     another's garbage).  The within-round order is shuffled
+     (Fisher–Yates) from a clock seed: a fixed order gives every
+     configuration a fixed phase inside the round, and on a CPU-quota'd
+     container that phase aliases with the scheduler's throttling period
+     — a positional bias no per-configuration estimator can remove. *)
   let rounds = if !quick then 7 else 31 in
   let keep = if !quick then 3 else 7 in
   let configs_arr = Array.of_list configs in
@@ -1325,10 +1186,19 @@ let e16 () =
         let _, options, budget = configs_arr.(i) in
         prepare budget;
         Gc.full_major ();
-        let _, t = time (fun () -> chain options) in
+        let run () = chain options in
+        (* "full" is the one configuration whose memo hits are the point
+           of the measurement; every other sample must run cold. *)
+        let run = if options.Plan_exec.memoize then run else cold catalog run in
+        let _, t = time run in
         samples.(i).(round) <- t)
       order
   done;
+  (* Estimator: mean of the [keep] smallest samples.  Interference is
+     strictly additive, so the smallest samples sit nearest the true cost;
+     averaging several of them has far less variance than the raw
+     minimum, and the slight common upward bias cancels in the speedup
+     ratio. *)
   let best =
     Array.map
       (fun row ->
@@ -1452,10 +1322,9 @@ let e17 () =
     let stats = ref None in
     let outcome =
       match
-        time_best reps (fun () ->
-            (* A memo hit would skip the kernels entirely and no budget
-               could ever trip; every sample executes the plan cold. *)
-            Catalog.memo_clear catalog;
+        (* A memo hit would skip the kernels entirely and no budget could
+           ever trip; [time_best] runs every sample cold. *)
+        time_best reps catalog (fun () ->
             let g = Governor.create ~mem_budget:budget () in
             stats := Some g;
             Governor.with_ctx g (fun () -> Plan_exec.run catalog plan))
@@ -1529,7 +1398,6 @@ let all_experiments =
     "E9", e9;
     "E10", e10;
     "E11", e11;
-    "E12", e12;
     "E13", e13;
     "E15", e15;
     "E16", e16;

@@ -409,25 +409,26 @@ let mode_arg =
            selection), or $(b,naive) (generate-and-test oracle; tiny inputs \
            only).")
 
+(* The one executor dispatch behind [run], [mine] and [sql]. *)
+let evaluate mode catalog flock =
+  match mode with
+  | `Direct -> Direct.run catalog flock
+  | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
+  | `Dynamic -> (
+    match Dynamic.run catalog flock with
+    | Ok r -> r.answers
+    | Error e ->
+      prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
+      Direct.run catalog flock)
+  | `Naive -> Naive.run catalog flock
+
 let run_cmd =
   let run path data db mode verbose =
     setup_logs verbose;
     let program = or_die (load_program path) in
     let flock = program.Parse.flock in
     let catalog = or_die (prepare (or_die (load_catalog ?db data)) program) in
-    let result =
-      match mode with
-      | `Direct -> Direct.run catalog flock
-      | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
-      | `Dynamic -> (
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e ->
-          prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
-          Direct.run catalog flock)
-      | `Naive -> Naive.run catalog flock
-    in
-    print_string (Qf_relational.Csv.to_string result)
+    print_string (Qf_relational.Csv.to_string (evaluate mode catalog flock))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Evaluate a flock against CSV data; print result CSV")
@@ -444,17 +445,7 @@ let mine_cmd =
     let g = or_die (make_governor ~timeout ~mem_budget) in
     let result =
       governed ~context:"mine" @@ fun () ->
-      Governor.with_ctx g @@ fun () ->
-      match mode with
-      | `Direct -> Direct.run catalog flock
-      | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
-      | `Dynamic -> (
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e ->
-          prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
-          Direct.run catalog flock)
-      | `Naive -> Naive.run catalog flock
+      Governor.with_ctx g @@ fun () -> evaluate mode catalog flock
     in
     print_string (Qf_relational.Csv.to_string result);
     if verbose then begin
@@ -490,19 +481,7 @@ let sql_cmd =
         exit 1
     in
     Format.eprintf "compiled flock:@.@.%s@.@." (Flock.to_string flock);
-    let result =
-      match mode with
-      | `Direct -> Direct.run catalog flock
-      | `Plan -> Plan_exec.run catalog (Optimizer.optimize catalog flock)
-      | `Dynamic -> (
-        match Dynamic.run catalog flock with
-        | Ok r -> r.answers
-        | Error e ->
-          prerr_endline ("flockc: dynamic: " ^ e ^ "; falling back to direct");
-          Direct.run catalog flock)
-      | `Naive -> Naive.run catalog flock
-    in
-    print_string (Qf_relational.Csv.to_string result)
+    print_string (Qf_relational.Csv.to_string (evaluate mode catalog flock))
   in
   Cmd.v
     (Cmd.info "sql"

@@ -107,21 +107,13 @@ let profile ?options ?(clamps = []) ?governor catalog (plan : Plan.t) =
             })
           (Plan.all_steps plan) report.Plan_exec.steps
       in
-      (* The pool's per-chunk metrics are the only ones that legitimately
-         vary with the machine (domain count, chunking); keep the profile
-         deterministic by reporting everything else. *)
-      let counters =
-        List.filter
-          (fun (k, _) -> not (String.starts_with ~prefix:"pool." k))
-          obs.Obs.counters
-      in
       {
         summary = plan_summary plan;
         steps;
         result_rows =
           Qf_relational.Relation.cardinal report.Plan_exec.result;
         total_seconds;
-        counters;
+        counters = obs.Obs.counters;
         governor = Option.map Qf_governor.Governor.stats governor;
       })
 

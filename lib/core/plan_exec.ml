@@ -63,8 +63,7 @@ let default_options =
    the reduction is what yields the multiplicative (per-parameter) savings.
    Reductions and reducers are memoized across rules and steps of one plan
    execution.  [pruned] accumulates rows removed by materialized
-   reductions (the deterministic [base - reduced] difference, identical
-   across pool sizes). *)
+   reductions (the deterministic [base - reduced] difference). *)
 let reduce_rule work ~step_names ~canon ~cache ~sips ~pruned (r : Ast.rule) =
   let param_oks =
     List.filter_map

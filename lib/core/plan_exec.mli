@@ -25,8 +25,7 @@ type step_report = {
           run against the same base relations) *)
   sip_pruned : int;
       (** rows removed from base relations by materialized semijoin
-          reducers while computing this step (deterministic: identical
-          across domain-pool sizes) *)
+          reducers while computing this step (deterministic) *)
 }
 
 type report = {

@@ -8,7 +8,6 @@ module Statistics = Qf_relational.Statistics
 module Dict = Qf_relational.Dict
 module Chunkrel = Qf_relational.Chunkrel
 module Buf = Chunkrel.Buf
-module Pool = Qf_exec_pool.Pool
 module Sip = Qf_relational.Sip
 module Obs = Qf_obs.Obs
 
@@ -33,9 +32,9 @@ module Envs = struct
   (* All environments live in one flat dictionary-code array of stride
      [width] ([count * width] ints); [slots] maps a binding key to its
      column in every row.  Binding extension probes the {!Index.t} chains
-     directly over code arrays, filters compare codes, and parallel steps
-     emit per-chunk {!Chunkrel.Buf}s merged by a single blit — no per-row
-     boxing anywhere on the hot path.
+     directly over code arrays, filters compare codes, and each step
+     emits its rows into one {!Chunkrel.Buf} — no per-row boxing anywhere
+     on the hot path.
 
      Rows are pairwise distinct, by induction over the literals: the start
      set is one row; an extension appends to each (distinct) row the fresh
@@ -54,23 +53,12 @@ module Envs = struct
   let count t = t.count
   let slot_of t key = List.assoc_opt key t.slots
 
-  (* A step produces per-chunk [Buf]s (each an [(emitted rows) * stride]
-     run of codes) and merges them with one pre-sized allocation and
-     [Array.blit] per chunk — the merge never boxes a row.  Every
-     materialized environment set passes through here, so this is where
-     [eval.env_rows] is counted. *)
-  let merge_code_chunks slots ~width pieces =
-    let count = List.fold_left (fun acc (k, _) -> acc + k) 0 pieces in
+  (* A step emits its rows into one [Buf] of [(emitted rows) * stride]
+     codes.  Every materialized environment set passes through here, so
+     this is where [eval.env_rows] is counted. *)
+  let of_buf slots ~width ~count buf =
     Obs.count "eval.env_rows" count;
-    { slots; width; count; data = Buf.concat (List.map snd pieces) }
-
-  (* [run ~lo ~hi] over rows [0, count), chunked across the pool when the
-     set is large enough to pay for it. *)
-  let chunked count run =
-    let pool = Pool.default () in
-    if Pool.size pool = 1 || count < Pool.par_threshold () then
-      [ run ~lo:0 ~hi:count ]
-    else Pool.run_chunks pool ~n:count run
+    { slots; width; count; data = Buf.to_array buf }
 
   (* {2 Ready literals}
 
@@ -79,8 +67,7 @@ module Envs = struct
      form serves a stand-alone filter pass (no candidate: the row argument
      is unused) and the check fused into a binding extension's probe loop,
      where the bindings being made are read straight from the candidate
-     tuple's columns.  [mk ()] is called once per chunk, so a membership
-     predicate may own its scratch probe key. *)
+     tuple's columns. *)
 
   (* Where a term's code is read from: a pre-encoded constant, a column of
      the environment row, or a column of the candidate tuple. *)
@@ -113,13 +100,12 @@ module Envs = struct
   let membership ci srcs data ~want =
     let srcs = Array.of_list srcs in
     let n = Array.length srcs in
-    fun () ->
-      let probe = Array.make n 0 in
-      fun base row ->
-        for k = 0 to n - 1 do
-          probe.(k) <- read data base row (Array.unsafe_get srcs k)
-        done;
-        Index.mem_codes ci probe = want
+    let probe = Array.make n 0 in
+    fun base row ->
+      for k = 0 to n - 1 do
+        probe.(k) <- read data base row (Array.unsafe_get srcs k)
+      done;
+      Index.mem_codes ci probe = want
 
   (* [Eq]/[Ne] compare codes: the dictionary is injective, and
      [Value.compare] is 0 exactly on equal values.  Ordered comparisons
@@ -127,10 +113,10 @@ module Envs = struct
   let compile_cmp src data l c r =
     let l = src l and r = src r in
     match c with
-    | Ast.Eq -> fun () base row -> read data base row l = read data base row r
-    | Ast.Ne -> fun () base row -> read data base row l <> read data base row r
+    | Ast.Eq -> fun base row -> read data base row l = read data base row r
+    | Ast.Ne -> fun base row -> read data base row l <> read data base row r
     | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-      fun () base row ->
+      fun base row ->
         Ast.comparison_eval
           (Value.compare
              (Dict.decode (read data base row l))
@@ -152,8 +138,8 @@ module Envs = struct
         (Catalog.index catalog rel (List.init (Relation.arity rel) Fun.id))
         (List.map src a.args) data ~want:true
 
-  let conj mks () =
-    let preds = Array.of_list (List.map (fun mk -> mk ()) mks) in
+  let conj preds =
+    let preds = Array.of_list preds in
     let n = Array.length preds in
     fun base row ->
       let rec all i =
@@ -161,22 +147,19 @@ module Envs = struct
       in
       all 0
 
-  (* [filter_codes mk t] keeps the rows satisfying the compiled predicate. *)
-  let filter_codes mk { slots; width; count; data } =
-    let run ~lo ~hi =
-      let pred = mk () in
-      let out = Buf.create ((hi - lo) * width) in
-      let kept = ref 0 in
-      for r = lo to hi - 1 do
-        let base = r * width in
-        if pred base (-1) then begin
-          incr kept;
-          for c = 0 to width - 1 do Buf.push out data.(base + c) done
-        end
-      done;
-      !kept, out
-    in
-    merge_code_chunks slots ~width (chunked count run)
+  (* [filter_codes pred t] keeps the rows satisfying the compiled
+     predicate. *)
+  let filter_codes pred { slots; width; count; data } =
+    let out = Buf.create (count * width) in
+    let kept = ref 0 in
+    for r = 0 to count - 1 do
+      let base = r * width in
+      if pred base (-1) then begin
+        incr kept;
+        for c = 0 to width - 1 do Buf.push out data.(base + c) done
+      end
+    done;
+    of_buf slots ~width ~count:!kept out
 
   let filter_ready catalog t lits =
     filter_codes (conj (List.map (compile catalog (src_of t) t.data) lits)) t
@@ -226,10 +209,8 @@ module Envs = struct
      ok-subgoal join would have dropped it later anyway, so results are
      unchanged — only the intermediate row count shrinks.
 
-     Rejections are totted up in one atomic and flushed as a single
-     [sip.rows_pruned] count: the set of key-matched candidates examined
-     is the same under any chunking, so the total is deterministic across
-     pool sizes (the invariant the differential suite pins down).
+     Rejections are totted up and flushed as a single [sip.rows_pruned]
+     count.
 
      [ready] literals are tested on each candidate that passes the SIP
      check, before its row is emitted, so a rejected candidate is never
@@ -272,14 +253,7 @@ module Envs = struct
         List.mapi (fun i key -> i, List.assoc_opt key sip) fresh_keys
         |> List.filter_map (fun (i, s) -> Option.map (fun s -> i, s) s)
     in
-    let rejects =
-      if sip_checks <> [] && Obs.enabled () then Some (Atomic.make 0) else None
-    in
-    let reject () =
-      match rejects with
-      | Some r -> ignore (Atomic.fetch_and_add r 1)
-      | None -> ()
-    in
+    let rejects = ref 0 in
     let slots =
       t.slots @ List.mapi (fun i key -> key, width + i) fresh_keys
     in
@@ -309,65 +283,60 @@ module Envs = struct
       Array.of_list (List.map (fun (i, s) -> fill_cols.(i), s) sip_checks)
     in
     let nsips = Array.length sip_cols in
-    let ready_mk =
+    let ready_ok =
       let fresh = List.combine fresh_keys (Array.to_list fill_cols) in
       conj (List.map (compile catalog (src_of ~fresh t) data) ready)
     in
-    let run ~lo ~hi =
-      let out = Buf.create ((hi - lo) * new_width) in
-      let emitted = ref 0 in
-      let probe = Array.make nkeys 0 in
-      let ready_ok = ready_mk () in
-      for r = lo to hi - 1 do
-        let base = r * width in
-        for k = 0 to nkeys - 1 do
-          probe.(k) <- read data base (-1) (Array.unsafe_get key_specs k)
-        done;
-        let h = Chunkrel.hash_codes probe in
-        let j = ref ci.Index.heads.(h land ci.Index.mask) in
-        while !j >= 0 do
-          let row = !j in
-          let rec keys_eq k =
-            k >= nkeys
-            || Array.unsafe_get (Array.unsafe_get ci.Index.key_cols k) row
-               = Array.unsafe_get probe k
-               && keys_eq (k + 1)
-          in
-          let rec checks_ok c =
-            c >= nchecks
-            ||
-            let ca, cb = Array.unsafe_get check_pairs c in
-            Array.unsafe_get ca row = Array.unsafe_get cb row
-            && checks_ok (c + 1)
-          in
-          let rec sip_ok k =
-            k >= nsips
-            ||
-            let col, s = Array.unsafe_get sip_cols k in
-            Sip.mem s (Array.unsafe_get col row) && sip_ok (k + 1)
-          in
-          if keys_eq 0 && checks_ok 0 then begin
-            if not (sip_ok 0) then reject ()
-            else if ready_ok base row then begin
-              incr emitted;
-              for c = 0 to width - 1 do
-                Buf.push out (Array.unsafe_get data (base + c))
-              done;
-              for k = 0 to n_fresh - 1 do
-                Buf.push out
-                  (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
-              done
-            end
-          end;
-          j := ci.Index.next.(row)
-        done
+    let out = Buf.create (count * new_width) in
+    let emitted = ref 0 in
+    let probe = Array.make nkeys 0 in
+    for r = 0 to count - 1 do
+      let base = r * width in
+      for k = 0 to nkeys - 1 do
+        probe.(k) <- read data base (-1) (Array.unsafe_get key_specs k)
       done;
-      !emitted, out
-    in
-    let result = merge_code_chunks slots ~width:new_width (chunked count run) in
-    (match rejects with
-    | Some r -> Obs.count "sip.rows_pruned" (Atomic.get r)
-    | None -> ());
+      let h = Chunkrel.hash_codes probe in
+      let j = ref ci.Index.heads.(h land ci.Index.mask) in
+      while !j >= 0 do
+        let row = !j in
+        let rec keys_eq k =
+          k >= nkeys
+          || Array.unsafe_get (Array.unsafe_get ci.Index.key_cols k) row
+             = Array.unsafe_get probe k
+             && keys_eq (k + 1)
+        in
+        let rec checks_ok c =
+          c >= nchecks
+          ||
+          let ca, cb = Array.unsafe_get check_pairs c in
+          Array.unsafe_get ca row = Array.unsafe_get cb row
+          && checks_ok (c + 1)
+        in
+        let rec sip_ok k =
+          k >= nsips
+          ||
+          let col, s = Array.unsafe_get sip_cols k in
+          Sip.mem s (Array.unsafe_get col row) && sip_ok (k + 1)
+        in
+        if keys_eq 0 && checks_ok 0 then begin
+          if not (sip_ok 0) then incr rejects
+          else if ready_ok base row then begin
+            incr emitted;
+            for c = 0 to width - 1 do
+              Buf.push out (Array.unsafe_get data (base + c))
+            done;
+            for k = 0 to n_fresh - 1 do
+              Buf.push out
+                (Array.unsafe_get (Array.unsafe_get fill_cols k) row)
+            done
+          end
+        end;
+        j := ci.Index.next.(row)
+      done
+    done;
+    let result = of_buf slots ~width:new_width ~count:!emitted out in
+    if sip_checks <> [] && Obs.enabled () then
+      Obs.count "sip.rows_pruned" !rejects;
     result
 
   let key_positions t keys =

@@ -41,8 +41,7 @@ module Envs : sig
       only when the reducer over-approximates the values the rest of the
       rule accepts for that key (reducers have no false negatives, so the
       final result set is unchanged — only intermediate rows shrink).
-      Rejections are flushed as one [sip.rows_pruned] Obs count, whose
-      total is deterministic across pool sizes.
+      Rejections are flushed as one [sip.rows_pruned] Obs count.
 
       [ready] are literals whose terms are all bound once the atom's fresh
       bindings exist: comparisons, negations and fully bound positive

@@ -10,9 +10,9 @@
     a failure at {e every} counted operation of the scenario.
 
     The global mode is process-wide and not reentrant: the sweep drives
-    one scenario at a time (worker domains of that scenario share the
-    counter atomically, so parallel scenarios still count and trip
-    deterministically only if their schedule is). *)
+    one scenario at a time.  The counter is atomic, so a scenario that
+    crossed points from several domains would still count them all, but
+    would trip deterministically only if its schedule were. *)
 
 (** Raised by an armed injection point.  [point] is the site label,
     [index] the 1-based position in the run's point sequence. *)

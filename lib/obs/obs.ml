@@ -129,17 +129,6 @@ let gauge_max name v =
   if enabled () then
     gauge_update name (function None -> v | Some old -> Float.max old v)
 
-let timed name f =
-  if not (enabled ()) then f ()
-  else begin
-    let t0 = now () in
-    Fun.protect f ~finally:(fun () ->
-        let dt = now () -. t0 in
-        count (name ^ ".tasks") 1;
-        gauge_add (name ^ ".time_total_s") dt;
-        gauge_max (name ^ ".time_max_s") dt)
-  end
-
 (* {1 Reports} *)
 
 let by_name (a, _) (b, _) = String.compare a b

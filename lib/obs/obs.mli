@@ -16,11 +16,7 @@
       ["filter.step"] span, plus ["est_rows"] when a cost estimate is
       available — the estimated-vs-actual pair the profiler reports;
     - joins record ["probe_rows"], ["build_rows"] and ["rows_out"];
-    - grouping records ["rows_in"], ["candidates"], ["survivors"];
-    - the Domain pool records per-chunk task timings under the
-      ["pool.chunk"] metric prefix (a counter and total/max gauges) —
-      these are the only metrics that legitimately vary with the pool
-      size, so determinism checks exclude the ["pool."] prefix. *)
+    - grouping records ["rows_in"], ["candidates"], ["survivors"]. *)
 
 (** {1 The enabled switch} *)
 
@@ -66,12 +62,6 @@ val gauge_add : string -> float -> unit
 
 (** Keep the maximum of the stored and the offered value. *)
 val gauge_max : string -> float -> unit
-
-(** [timed name f] times [f] and aggregates the duration under [name]:
-    counter [name ^ ".tasks"], gauges [name ^ ".time_total_s"] and
-    [name ^ ".time_max_s"].  Safe to call from worker domains.  When
-    disabled this is just [f ()]. *)
-val timed : string -> (unit -> 'a) -> 'a
 
 (** Wall clock (seconds since the epoch); the clock every span uses. *)
 val now : unit -> float

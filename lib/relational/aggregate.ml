@@ -1,4 +1,3 @@
-module Pool = Qf_exec_pool.Pool
 module Obs = Qf_obs.Obs
 module Buf = Chunkrel.Buf
 module Governor = Qf_governor.Governor
@@ -62,22 +61,18 @@ let eval func schema tuples =
    column's codes on the fly (an array read per row), [COUNT] touches no
    values at all.
 
-   Above the parallel threshold, row indices scatter by key hash into [d]
-   disjoint partitions (phase 1, chunked), then each partition groups and
-   aggregates independently (phase 2); no cross-partition merge is
-   needed.  The spilling path reuses phase 2 on each on-disk partition. *)
+   The spilling path runs the same body on each on-disk partition. *)
 
-(* Group the rows listed in [idxs]; returns [rep] (one representative row
-   per group, in first-appearance order) and [gid] (parallel to [idxs]). *)
-let group_rows key_cols idxs =
-  let m = Array.length idxs in
+(* Group rows [0, m); returns [rep] (one representative row per group, in
+   first-appearance order) and [gid] (each row's group). *)
+let group_rows key_cols m =
   let gid = Array.make m 0 in
   let dense_path () =
     match key_cols with
     | [| col |] when m > 0 ->
       let maxc = ref 0 in
-      for k = 0 to m - 1 do
-        let c = Array.unsafe_get col (Array.unsafe_get idxs k) in
+      for i = 0 to m - 1 do
+        let c = Array.unsafe_get col i in
         if c > !maxc then maxc := c
       done;
       if !maxc <= (2 * m) + 1024 then Some !maxc else None
@@ -88,16 +83,15 @@ let group_rows key_cols idxs =
     let col = key_cols.(0) in
     let map = Array.make (maxc + 1) (-1) in
     let rep = Buf.create (m / 4) in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
+    for i = 0 to m - 1 do
       let c = Array.unsafe_get col i in
       let g = Array.unsafe_get map c in
-      if g >= 0 then Array.unsafe_set gid k g
+      if g >= 0 then Array.unsafe_set gid i g
       else begin
         let g = Buf.length rep in
         Array.unsafe_set map c g;
         Buf.push rep i;
-        Array.unsafe_set gid k g
+        Array.unsafe_set gid i g
       end
     done;
     Buf.to_array rep, gid
@@ -116,8 +110,7 @@ let group_rows key_cols idxs =
       in
       loop 0
     in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
+    for i = 0 to m - 1 do
       let h = ref (Chunkrel.hash_key key_cols i land mask) in
       let stop = ref false in
       while not !stop do
@@ -126,11 +119,11 @@ let group_rows key_cols idxs =
           let g = Buf.length rep in
           Array.unsafe_set slots !h g;
           Buf.push rep i;
-          Array.unsafe_set gid k g;
+          Array.unsafe_set gid i g;
           stop := true
         end
         else if keys_equal i (Buf.get rep g) then begin
-          Array.unsafe_set gid k g;
+          Array.unsafe_set gid i g;
           stop := true
         end
         else h := (!h + 1) land mask
@@ -138,25 +131,24 @@ let group_rows key_cols idxs =
     done;
     Buf.to_array rep, gid
 
-(* Per-gid aggregate values over the rows in [idxs]. *)
-let aggregate_gids (chunk : Chunkrel.t) schema ~func ~rep ~gid ~idxs =
+(* Per-gid aggregate values over every row of [chunk]. *)
+let aggregate_gids (chunk : Chunkrel.t) schema ~func ~rep ~gid =
   let ngroups = Array.length rep in
-  let m = Array.length idxs in
+  let m = chunk.Chunkrel.nrows in
   match func with
   | Count ->
     let counts = Array.make ngroups 0 in
-    for k = 0 to m - 1 do
-      let g = Array.unsafe_get gid k in
+    for i = 0 to m - 1 do
+      let g = Array.unsafe_get gid i in
       Array.unsafe_set counts g (Array.unsafe_get counts g + 1)
     done;
     Array.map (fun c -> Value.Real (float_of_int c)) counts
   | Sum col ->
     let vcol = chunk.Chunkrel.cols.(Schema.position schema col) in
     let sums = Array.make ngroups 0. in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
+    for i = 0 to m - 1 do
       let v = numeric_exn "sum" (Dict.decode (Array.unsafe_get vcol i)) in
-      let g = Array.unsafe_get gid k in
+      let g = Array.unsafe_get gid i in
       Array.unsafe_set sums g (Array.unsafe_get sums g +. v)
     done;
     Array.map (fun s -> Value.Real s) sums
@@ -164,9 +156,8 @@ let aggregate_gids (chunk : Chunkrel.t) schema ~func ~rep ~gid ~idxs =
     let vcol = chunk.Chunkrel.cols.(Schema.position schema col) in
     let want = match func with Min _ -> -1 | _ -> 1 in
     let best = Array.make ngroups (-1) in
-    for k = 0 to m - 1 do
-      let i = Array.unsafe_get idxs k in
-      let g = Array.unsafe_get gid k in
+    for i = 0 to m - 1 do
+      let g = Array.unsafe_get gid i in
       let b = Array.unsafe_get best g in
       if b = -1 then Array.unsafe_set best g i
       else begin
@@ -188,10 +179,10 @@ type groups = {
   aggs : Value.t array;
 }
 
-(* Phase 2: group and aggregate the rows [idxs] of [chunk]. *)
-let group_job chunk schema ~key_positions ~func idxs =
+(* Group and aggregate every row of [chunk]. *)
+let group_all chunk schema ~key_positions ~func =
   let key_cols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions in
-  let rep, gid = group_rows key_cols idxs in
+  let rep, gid = group_rows key_cols chunk.Chunkrel.nrows in
   {
     keys =
       {
@@ -199,34 +190,8 @@ let group_job chunk schema ~key_positions ~func idxs =
         cols = Chunkrel.gather_cols key_cols rep;
         rows_cache = None;
       };
-    aggs = aggregate_gids chunk schema ~func ~rep ~gid ~idxs;
+    aggs = aggregate_gids chunk schema ~func ~rep ~gid;
   }
-
-(* Phase 1: row indices scattered into [d] disjoint partitions by key
-   hash. *)
-let partition_rows pool key_cols n =
-  let d = Pool.size pool in
-  let per_chunk =
-    Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        Chunkrel.scatter key_cols ~parts:d ~lo ~hi)
-  in
-  List.init d (fun j -> Buf.concat (List.map (fun bufs -> bufs.(j)) per_chunk))
-
-let group_in_memory ?pool ?par_threshold rel ~key_positions ~func =
-  let schema = Relation.schema rel in
-  let chunk = Relation.codes rel in
-  let n = chunk.Chunkrel.nrows in
-  let threshold =
-    match par_threshold with Some v -> v | None -> Pool.par_threshold ()
-  in
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let job idxs () = group_job chunk schema ~key_positions ~func idxs in
-  if Pool.size pool > 1 && n >= threshold then
-    let key_cols =
-      Array.map (fun p -> chunk.Chunkrel.cols.(p)) key_positions
-    in
-    Pool.run_all pool (List.map job (partition_rows pool key_cols n))
-  else [ job (Array.init n Fun.id) () ]
 
 (* {1 Spilling group-by}
 
@@ -242,16 +207,14 @@ let spill_groups g rel ~key_positions ~func =
   Spill.partitioned g [| rel |] ~positions:[| key_positions |]
     ~cost:(fun rows -> 2 * Relation.bytes_for ~arity ~rows:rows.(0))
     (fun parts ->
-      let chunk = Relation.codes parts.(0) in
-      group_job chunk schema ~key_positions ~func
-        (Array.init chunk.Chunkrel.nrows Fun.id))
+      group_all (Relation.codes parts.(0)) schema ~key_positions ~func)
 
 let count_groups parts =
   List.fold_left (fun a p -> a + p.keys.Chunkrel.nrows) 0 parts
 
 (* The governed grouping shared by [group_by] and [group_filter_report],
    inside its [aggregate.group_by] span. *)
-let grouped ?pool ?par_threshold rel ~keys ~func =
+let grouped rel ~keys ~func =
   let key_positions =
     Array.of_list (List.map (Schema.position (Relation.schema rel)) keys)
   in
@@ -260,7 +223,9 @@ let grouped ?pool ?par_threshold rel ~keys ~func =
        rows; charge roughly twice the input, spill when it does not fit. *)
     Spill.governed
       ~need:(2 * Relation.approx_bytes rel)
-      (fun () -> group_in_memory ?pool ?par_threshold rel ~key_positions ~func)
+      (fun () ->
+        [ group_all (Relation.codes rel) (Relation.schema rel) ~key_positions
+            ~func ])
       (fun g ->
         if Obs.enabled () then Obs.count "governor.spill.groups" 1;
         spill_groups g rel ~key_positions ~func)
@@ -274,21 +239,21 @@ let grouped ?pool ?par_threshold rel ~keys ~func =
         Obs.set_attr "groups_out" (Obs.Int (count_groups parts));
         parts)
 
-let group_by ?pool ?par_threshold rel ~keys ~func =
+let group_by rel ~keys ~func =
   Governor.check ();
   List.concat_map
     (fun { keys; aggs } ->
       List.init keys.Chunkrel.nrows (fun g -> Chunkrel.tuple_at keys g, aggs.(g)))
-    (grouped ?pool ?par_threshold rel ~keys ~func)
+    (grouped rel ~keys ~func)
 
 (* FILTER: group, aggregate, filter by threshold, and gather the
    surviving groups' key codes straight into the output chunk — no tuple
    is built for keys that fail the support test, and none at all for the
    survivors either. *)
-let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
+let group_filter_report rel ~keys ~func ~threshold =
   Governor.check ();
   let compute () =
-    let parts = grouped ?pool ?par_threshold rel ~keys ~func in
+    let parts = grouped rel ~keys ~func in
     let survivors =
       List.map
         (fun { keys; aggs } ->
@@ -323,5 +288,5 @@ let group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold =
               else float_of_int survivors /. float_of_int candidates));
         out, candidates)
 
-let group_filter ?pool ?par_threshold rel ~keys ~func ~threshold =
-  fst (group_filter_report ?pool ?par_threshold rel ~keys ~func ~threshold)
+let group_filter rel ~keys ~func ~threshold =
+  fst (group_filter_report rel ~keys ~func ~threshold)

@@ -23,17 +23,8 @@ val eval : func -> Schema.t -> Tuple.t list -> Value.t
 
 (** [group_by rel ~keys ~func] returns a list of
     [(key_tuple, aggregate_value)] pairs, one per distinct key, in an
-    unspecified order.
-
-    Above [par_threshold] tuples (default
-    {!Qf_exec_pool.Pool.par_threshold}) on a pool of size > 1, rows are
-    hash-partitioned by key across the pool's domains and each partition
-    aggregates its own disjoint key set — same groups, same values (SUM
-    may associate float additions differently; exact on integer-valued
-    data). *)
+    unspecified order. *)
 val group_by :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   Relation.t ->
   keys:string list ->
   func:func ->
@@ -41,11 +32,8 @@ val group_by :
 
 (** [group_filter rel ~keys ~func ~threshold] keeps the keys whose aggregate
     value is [>= threshold] (numeric comparison) and returns them as a
-    relation over [keys].  This is the FILTER step's core operation.
-    Parallel above the threshold, like {!group_by}. *)
+    relation over [keys].  This is the FILTER step's core operation. *)
 val group_filter :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   Relation.t ->
   keys:string list ->
   func:func ->
@@ -57,8 +45,6 @@ val group_filter :
     [cardinal (project rel keys)], without the extra projection pass).
     Plan execution reports this as the a-priori candidate count. *)
 val group_filter_report :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   Relation.t ->
   keys:string list ->
   func:func ->

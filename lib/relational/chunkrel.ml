@@ -88,15 +88,13 @@ let rows_equal cols i j =
 
 (* Open-addressing dedup over code rows: slots hold a previously kept row
    index (or -1); linear probing. *)
-let distinct_among cols idxs =
-  let m = Array.length idxs in
-  let cap = hash_capacity (2 * m) in
+let distinct_rows cols nrows =
+  let cap = hash_capacity (2 * nrows) in
   let mask = cap - 1 in
   let slots = Array.make cap (-1) in
-  let kept = Array.make m 0 in
+  let kept = Array.make nrows 0 in
   let k = ref 0 in
-  for r = 0 to m - 1 do
-    let i = Array.unsafe_get idxs r in
+  for i = 0 to nrows - 1 do
     let h = ref (hash_key cols i land mask) in
     let stop = ref false in
     while not !stop do
@@ -112,8 +110,6 @@ let distinct_among cols idxs =
     done
   done;
   Array.sub kept 0 !k
-
-let distinct_rows cols nrows = distinct_among cols (Array.init nrows Fun.id)
 
 let concat ~arity chunks =
   {
@@ -151,16 +147,6 @@ module Buf = struct
   let length b = b.len
   let get b i = b.data.(i)
   let to_array b = Array.sub b.data 0 b.len
-
-  let concat bufs =
-    let dst = Array.make (List.fold_left (fun a b -> a + b.len) 0 bufs) 0 in
-    ignore
-      (List.fold_left
-         (fun pos b ->
-           Array.blit b.data 0 dst pos b.len;
-           pos + b.len)
-         0 bufs);
-    dst
 end
 
 (* {1 Partitioning} *)

@@ -4,9 +4,8 @@
     attribute (see {!Dict}); code equality is value equality, so the hot
     kernels — hash joins, grouping, duplicate elimination — run entirely
     over flat integer arrays with no per-row allocation.  A chunk is
-    immutable once built (the optional decoded-row cache is filled at most
-    once, by the coordinating domain, before any parallel fan-out reads
-    it); worker domains may read [cols] freely. *)
+    immutable once built, apart from the optional decoded-row cache,
+    which is filled at most once. *)
 
 type t = {
   nrows : int;  (** explicit, so arity-0 relations keep their cardinality *)
@@ -53,10 +52,6 @@ val gather_cols : int array array -> int array -> int array array
     occurrence of each distinct row (order of first appearance). *)
 val distinct_rows : int array array -> int -> int array
 
-(** [distinct_among cols idxs] is {!distinct_rows} over the rows listed
-    in [idxs] only. *)
-val distinct_among : int array array -> int array -> int array
-
 (** [concat ~arity chunks] stacks the rows of [chunks] (all of arity
     [arity]) in list order.  Distinctness is the caller's to guarantee. *)
 val concat : arity:int -> t list -> t
@@ -64,9 +59,8 @@ val concat : arity:int -> t list -> t
 (** Smallest power of two [>= max 16 n]. *)
 val hash_capacity : int -> int
 
-(** {1 Growable int buffers} — the parallel kernels' per-chunk output
-    substrate; chunks are merged by {!Buf.concat} with no per-row
-    boxing. *)
+(** {1 Growable int buffers} — the kernels' row-index output substrate,
+    with no per-row boxing. *)
 module Buf : sig
   type buf
 
@@ -76,9 +70,6 @@ module Buf : sig
   val length : buf -> int
   val get : buf -> int -> int
   val to_array : buf -> int array
-
-  (** The buffers' contents, in list order, in one fresh array. *)
-  val concat : buf list -> int array
 end
 
 (** {1 Partitioning}
@@ -86,10 +77,10 @@ end
     [scatter ?salt key_cols ~parts ~lo ~hi] splits the row indices
     [[lo, hi)] into [parts] buffers (each in ascending order) by the high
     half of [hash_key key_cols i], so equal keys share a buffer.  This is
-    the one partitioner: the pool's parallel grouping and dedup and the
-    spill runs all scatter through it.  A non-zero [salt] folds the key
-    codes from a different seed, so distinct keys that shared a partition
-    under one salt spread over fresh partitions under another (an
-    overflowing spill run splits this way). *)
+    the one partitioner: the spill runs all scatter through it.  A
+    non-zero [salt] folds the key codes from a different seed, so
+    distinct keys that shared a partition under one salt spread over
+    fresh partitions under another (an overflowing spill run splits this
+    way). *)
 val scatter :
   ?salt:int -> int array array -> parts:int -> lo:int -> hi:int -> Buf.buf array

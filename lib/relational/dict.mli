@@ -10,8 +10,7 @@
     Encoding is guarded by a mutex (use {!with_encoder} to amortize the
     lock over a bulk conversion).  Decoding is lock-free: codes index an
     append-only array republished through an [Atomic] after every
-    extension, so worker domains may decode concurrently with an encoder
-    on another domain. *)
+    extension, so a decode never waits on an encoder. *)
 
 (** The code for [v], assigning a fresh one on first sight. *)
 val encode : Value.t -> int

@@ -5,10 +5,8 @@
     codes and never allocate.  Indexes are built eagerly and are not
     maintained under later mutation of the source relation — the
     {!Catalog} index cache pairs each index with the relation version it
-    was built against and rebuilds when stale.
-
-    A built index is immutable, so concurrent probes from several domains
-    are safe; the parallel join kernels rely on this. *)
+    was built against and rebuilds when stale.  A built index is
+    immutable. *)
 
 (** [heads.(h land mask)] starts a chain through [next] of the rows whose
     key codes hash to [h] (hash = {!Chunkrel.hash_key} over [key_cols],

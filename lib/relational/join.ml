@@ -1,4 +1,3 @@
-module Pool = Qf_exec_pool.Pool
 module Obs = Qf_obs.Obs
 module Buf = Chunkrel.Buf
 module Governor = Qf_governor.Governor
@@ -85,14 +84,6 @@ let sip_checks_cols ca sip =
     in
     loop 0
 
-let use_pool pool n threshold =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  if Pool.size pool > 1 && n >= threshold then Some pool else None
-
-let threshold_of = function
-  | Some v -> v
-  | None -> Pool.par_threshold ()
-
 (* {1 Columnar probe machinery}
 
    Both kinds of probe walk the build side's bucket chains comparing raw
@@ -104,8 +95,8 @@ let threshold_of = function
      column, which therefore differ in some residual column;
    - semi/anti outputs are subsets of [a]'s rows.
 
-   So the merges are bare [Array.blit]s of per-chunk index buffers, with
-   no output-side hash set at all. *)
+   So the outputs are gathers of probe-row index buffers, with no
+   output-side hash set at all. *)
 
 (* Per-probe-row chain walk: calls [emit j] for every matching build row. *)
 let probe_chain (ci : Index.t) akey_cols i emit =
@@ -137,36 +128,20 @@ let chain_mem ci akey_cols i =
 (* {1 Equi-join}
 
    Build one radix/bucket-chained index on [b]'s key codes, then probe
-   with [a]'s key codes.  The parallel path partitions the probe side
-   into per-domain chunks, each emitting an interleaved (probe row,
-   build row) pair buffer; buffers merge by blit and the output columns
-   are gathered once. *)
+   with [a]'s key codes into an interleaved (probe row, build row) pair
+   buffer; the output columns are gathered once. *)
 
-let equi_chunk ?pool ?par_threshold ~sip a b pos_a pos_b residual_pos =
+let equi_chunk ~sip a b pos_a pos_b residual_pos =
   let ca = Relation.codes a in
   let ci = Index.build b (Array.to_list pos_b) in
   let akey_cols = Array.map (fun p -> ca.Chunkrel.cols.(p)) pos_a in
   let sip_pass = sip_checks_cols ca sip in
   let n = ca.Chunkrel.nrows in
-  let pairs =
-    match use_pool pool n (threshold_of par_threshold) with
-    | None ->
-      let buf = Buf.create (2 * n) in
-      for i = 0 to n - 1 do
-        if sip_pass i then
-          probe_chain ci akey_cols i (fun j -> Buf.push2 buf i j)
-      done;
-      Buf.to_array buf
-    | Some pool ->
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let buf = Buf.create (2 * (hi - lo)) in
-          for i = lo to hi - 1 do
-            if sip_pass i then
-              probe_chain ci akey_cols i (fun j -> Buf.push2 buf i j)
-          done;
-          buf)
-      |> Buf.concat
-  in
+  let buf = Buf.create (2 * n) in
+  for i = 0 to n - 1 do
+    if sip_pass i then probe_chain ci akey_cols i (fun j -> Buf.push2 buf i j)
+  done;
+  let pairs = Buf.to_array buf in
   let m = Array.length pairs / 2 in
   let pa = Array.init m (fun k -> pairs.(2 * k)) in
   let pb = Array.init m (fun k -> pairs.((2 * k) + 1)) in
@@ -203,7 +178,7 @@ let spill_equi g a b pos_a pos_b residual_pos out_schema =
   Relation.of_chunkrel out_schema
     (Chunkrel.concat ~arity:(Schema.arity out_schema) outputs)
 
-let equi ?pool ?par_threshold ?(sip = []) a b pairs =
+let equi ?(sip = []) a b pairs =
   observed "join.equi" a b @@ fun () ->
   Governor.check ();
   let pos_a, pos_b = positions_of_pairs a b pairs in
@@ -222,48 +197,34 @@ let equi ?pool ?par_threshold ?(sip = []) a b pairs =
     ~need:(2 * Relation.approx_bytes b)
     (fun () ->
       Relation.of_chunkrel out_schema
-        (equi_chunk ?pool ?par_threshold ~sip a b pos_a pos_b residual_pos))
+        (equi_chunk ~sip a b pos_a pos_b residual_pos))
     (fun g ->
       if Obs.enabled () then Obs.count "governor.spill.joins" 1;
       spill_equi g a b pos_a pos_b residual_pos out_schema)
 
 (* {1 Semi/anti joins} — membership filters over the probe side. *)
 
-let filter_by_presence ?pool ?par_threshold ?(sip = []) ~keep_matching a b
-    pairs =
+let filter_by_presence ?(sip = []) ~keep_matching a b pairs =
   let pos_a, pos_b = positions_of_pairs a b pairs in
   let ca = Relation.codes a in
   let ci = Index.build b (Array.to_list pos_b) in
   let akey_cols = Array.map (fun p -> ca.Chunkrel.cols.(p)) pos_a in
   let sip_pass = sip_checks_cols ca sip in
   let n = ca.Chunkrel.nrows in
-  let kept =
-    match use_pool pool n (threshold_of par_threshold) with
-    | None ->
-      let buf = Buf.create n in
-      for i = 0 to n - 1 do
-        if sip_pass i && chain_mem ci akey_cols i = keep_matching then
-          Buf.push buf i
-      done;
-      Buf.to_array buf
-    | Some pool ->
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let buf = Buf.create (hi - lo) in
-          for i = lo to hi - 1 do
-            if sip_pass i && chain_mem ci akey_cols i = keep_matching then
-              Buf.push buf i
-          done;
-          buf)
-      |> Buf.concat
-  in
+  let buf = Buf.create n in
+  for i = 0 to n - 1 do
+    if sip_pass i && chain_mem ci akey_cols i = keep_matching then
+      Buf.push buf i
+  done;
+  let kept = Buf.to_array buf in
   Relation.of_chunkrel (Relation.schema a) (Chunkrel.gather ca kept)
 
-let semi ?pool ?par_threshold ?sip a b pairs =
+let semi ?sip a b pairs =
   observed "join.semi" a b @@ fun () ->
   Governor.check ();
-  filter_by_presence ?pool ?par_threshold ?sip ~keep_matching:true a b pairs
+  filter_by_presence ?sip ~keep_matching:true a b pairs
 
-let anti ?pool ?par_threshold a b pairs =
+let anti a b pairs =
   observed "join.anti" a b @@ fun () ->
   Governor.check ();
-  filter_by_presence ?pool ?par_threshold ~keep_matching:false a b pairs
+  filter_by_presence ~keep_matching:false a b pairs

@@ -6,10 +6,7 @@
     implement negated subgoals.
 
     Each operator builds one hash index on [b] and probes it with [a]'s
-    tuples.  Above a cardinality threshold (default
-    {!Qf_exec_pool.Pool.par_threshold}) and on a pool of size > 1, the
-    probe side is partitioned across the pool's domains; the merged
-    result is the same set as the sequential path.
+    tuples.
 
     [equi] and [semi] accept optional sideways-information-passing
     reducers: [sip] pairs a probe-side column position with a {!Sip.t}
@@ -26,8 +23,6 @@
     suffixed name is itself taken, so the output schema never contains a
     duplicate).  An empty [pairs] yields the cross product. *)
 val equi :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   ?sip:(int * Sip.t) list ->
   Relation.t ->
   Relation.t ->
@@ -37,8 +32,6 @@ val equi :
 (** [semi a b pairs] keeps the tuples of [a] that join with at least one
     tuple of [b]. *)
 val semi :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   ?sip:(int * Sip.t) list ->
   Relation.t ->
   Relation.t ->
@@ -48,8 +41,6 @@ val semi :
 (** [anti a b pairs] keeps the tuples of [a] that join with no tuple of
     [b] — the evaluation of a negated subgoal. *)
 val anti :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
   Relation.t ->
   Relation.t ->
   (string * string) list ->

@@ -5,8 +5,8 @@
     the running total exceeds the budget, least-recently-{!find}ed (or
     added) entries are evicted until it fits again.  Recency is a
     monotone tick bumped on every hit and insertion, so eviction order is
-    a deterministic function of the operation sequence — the property the
-    cross-pool-size determinism tests rely on.
+    a deterministic function of the operation sequence, so the eviction
+    counters repeat exactly from run to run.
 
     A budget of [0] disables the table entirely ({!add} is a no-op and
     {!find} always misses); [max_int] means unbounded.  The table itself

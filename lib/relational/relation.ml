@@ -1,5 +1,3 @@
-module Pool = Qf_exec_pool.Pool
-
 (* A relation is an abstract handle over two representations of one
    tuple set:
 
@@ -143,71 +141,26 @@ let of_values columns rows =
 
 (* {1 Scan kernels}
 
-   A vectorized loop collects surviving row *indices* into pre-sized int
-   buffers, merges them by [Array.blit], and gathers the output columns
-   once.  Selection preserves distinctness, so no output hashing happens
-   at all; projection deduplicates over code rows.  Both fall back to
-   sequential below [Pool.par_threshold] or on a pool of size 1. *)
+   A vectorized loop collects surviving row *indices* into a pre-sized
+   int buffer and gathers the output columns once.  Selection preserves
+   distinctness, so no output hashing happens at all; projection
+   deduplicates over code rows. *)
 
-let use_pool pool n threshold =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  if Pool.size pool > 1 && n >= threshold then Some pool else None
-
-let threshold_of = function
-  | Some v -> v
-  | None -> Pool.par_threshold ()
-
-let select ?pool ?par_threshold t pred =
+let select t pred =
   let chunk = codes t in
   let rows = Chunkrel.rows chunk in
   let n = chunk.Chunkrel.nrows in
-  let kept =
-    match use_pool pool n (threshold_of par_threshold) with
-    | None ->
-      let buf = Chunkrel.Buf.create n in
-      for i = 0 to n - 1 do
-        if pred rows.(i) then Chunkrel.Buf.push buf i
-      done;
-      Chunkrel.Buf.to_array buf
-    | Some pool ->
-      Pool.run_chunks pool ~n (fun ~lo ~hi ->
-          let buf = Chunkrel.Buf.create (hi - lo) in
-          for i = lo to hi - 1 do
-            if pred rows.(i) then Chunkrel.Buf.push buf i
-          done;
-          buf)
-      |> Chunkrel.Buf.concat
-  in
-  of_chunkrel t.schema (Chunkrel.gather chunk kept)
+  let buf = Chunkrel.Buf.create n in
+  for i = 0 to n - 1 do
+    if pred rows.(i) then Chunkrel.Buf.push buf i
+  done;
+  of_chunkrel t.schema (Chunkrel.gather chunk (Chunkrel.Buf.to_array buf))
 
-(* Parallel columnar dedup: scatter row indices into [d] partitions by
-   row hash (phase 1, chunked), then dedup each partition independently
-   (distinct rows land in exactly one partition). *)
-let distinct_rows_par pool pcols n =
-  let d = Pool.size pool in
-  let buckets_per_chunk =
-    Pool.run_chunks pool ~n (fun ~lo ~hi ->
-        Chunkrel.scatter pcols ~parts:d ~lo ~hi)
-  in
-  let kept_per_partition =
-    Pool.run_all pool
-      (List.init d (fun j () ->
-           Chunkrel.distinct_among pcols
-             (Chunkrel.Buf.concat
-                (List.map (fun bufs -> bufs.(j)) buckets_per_chunk))))
-  in
-  Array.concat kept_per_partition
-
-let project ?pool ?par_threshold t cols =
+let project t cols =
   let positions = Array.of_list (List.map (Schema.position t.schema) cols) in
   let chunk = codes t in
-  let n = chunk.Chunkrel.nrows in
   let pcols = Array.map (fun p -> chunk.Chunkrel.cols.(p)) positions in
-  let kept =
-    match use_pool pool n (threshold_of par_threshold) with
-    | None -> Chunkrel.distinct_rows pcols n
-    | Some pool -> distinct_rows_par pool pcols n
-  in
+  let kept = Chunkrel.distinct_rows pcols chunk.Chunkrel.nrows in
   of_chunkrel
     (Schema.restrict t.schema cols)
     {

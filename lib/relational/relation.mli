@@ -23,7 +23,7 @@ val of_chunkrel : Schema.t -> Chunkrel.t -> t
 
 (** The columnar snapshot of the current version, built from the tuple
     set on first demand and cached until the next mutation.  The chunk
-    is immutable; parallel kernels read it from worker domains. *)
+    is immutable. *)
 val codes : t -> Chunkrel.t
 
 (** Force materialization of the columnar snapshot (load boundaries call
@@ -63,23 +63,11 @@ val of_list : Schema.t -> Tuple.t list -> t
 (** Convenience: build from lists of value lists. *)
 val of_values : string list -> Value.t list list -> t
 
-(** [project rel cols] projects (with duplicate elimination) onto [cols].
-    Runs on [pool] (default: the shared pool) when the relation has at
-    least [par_threshold] tuples (default {!Qf_exec_pool.Pool.par_threshold})
-    and the pool has size > 1; otherwise sequential.  The result set is
-    identical either way. *)
-val project :
-  ?pool:Qf_exec_pool.Pool.t -> ?par_threshold:int -> t -> string list -> t
+(** [project rel cols] projects (with duplicate elimination) onto [cols]. *)
+val project : t -> string list -> t
 
-(** [select rel pred] keeps tuples satisfying [pred].  Parallel above the
-    threshold, like {!project}; [pred] must then be pure and safe to call
-    from several domains. *)
-val select :
-  ?pool:Qf_exec_pool.Pool.t ->
-  ?par_threshold:int ->
-  t ->
-  (Tuple.t -> bool) ->
-  t
+(** [select rel pred] keeps tuples satisfying [pred]. *)
+val select : t -> (Tuple.t -> bool) -> t
 
 (** Set union; schemas must have equal arity (result keeps [a]'s schema). *)
 val union : t -> t -> t

@@ -7,8 +7,7 @@
     governor: writing a run copies a chunk's code columns, and reading it
     back fills fresh code columns, with no value decoded or re-interned.
 
-    Every scatter goes through {!Chunkrel.scatter}, the partitioner the
-    in-memory parallel kernels use too. *)
+    Every scatter goes through {!Chunkrel.scatter}. *)
 
 type run
 

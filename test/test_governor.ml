@@ -15,16 +15,10 @@ module Heap_file = Qf_relational.Heap_file
 module Spill = Qf_relational.Spill
 module Chunkrel = Qf_relational.Chunkrel
 module Dict = Qf_relational.Dict
-module Pool = Qf_exec_pool.Pool
 module Governor = Qf_governor.Governor
 module Fault = Qf_governor.Fault
 open Qf_core
 open Qf_testgen.Testgen
-
-let with_pool_size size f =
-  let saved_size = Pool.size (Pool.default ()) in
-  Pool.set_default_size size;
-  Fun.protect ~finally:(fun () -> Pool.set_default_size saved_size) f
 
 (* Spill files of THIS process left behind anywhere under the temp dir:
    the hygiene invariant is that this list is empty after every governed
@@ -169,7 +163,6 @@ let big_pair_relation n =
        (List.init n Fun.id))
 
 let test_spilled_join_agrees () =
-  with_pool_size 1 @@ fun () ->
   let a = big_pair_relation 60 in
   let b = big_pair_relation 40 in
   let pairs = [ "I", "I" ] in
@@ -183,7 +176,6 @@ let test_spilled_join_agrees () =
   assert_no_leaks "spilled join"
 
 let test_spilled_group_by_agrees () =
-  with_pool_size 1 @@ fun () ->
   let rel = big_pair_relation 80 in
   let sort = List.sort compare in
   let expected =
@@ -200,7 +192,6 @@ let test_spilled_group_by_agrees () =
   assert_no_leaks "spilled group-by"
 
 let test_spilled_group_filter_agrees () =
-  with_pool_size 1 @@ fun () ->
   let rel = big_pair_relation 80 in
   let expected =
     Aggregate.group_filter rel ~keys:[ "I" ] ~func:Aggregate.Count
@@ -330,7 +321,6 @@ let test_corrupt_run () =
    the first of the spill path's partitions: that partition's charge
    overflows the budget, so it must split rather than fail. *)
 let test_skewed_partition_splits () =
-  with_pool_size 1 @@ fun () ->
   let budget = 16384 and rows = 2000 and heavy = 300 in
   let g = Governor.create ~mem_budget:budget () in
   let need = 2 * R.bytes_for ~arity:2 ~rows in
@@ -365,7 +355,6 @@ let test_skewed_partition_splits () =
    partition, and since they share a key, the governor's typed error
    follows that one attempt with no further split. *)
 let test_single_key_over_budget () =
-  with_pool_size 1 @@ fun () ->
   let rel = R.create (Schema.of_list [ "K"; "V" ]) in
   for i = 0 to 999 do
     R.add rel (Tuple.of_list [ Value.str "hot"; Value.Int i ])
@@ -387,7 +376,6 @@ let test_single_key_over_budget () =
    lands there, yet they are two keys, so the partition splits again
    under a new salt instead of failing. *)
 let test_colliding_keys_split () =
-  with_pool_size 1 @@ fun () ->
   let per_key = 100 in
   let g = Governor.create ~mem_budget:16384 () in
   let need = 2 * R.bytes_for ~arity:2 ~rows:(2 * per_key) in
@@ -425,7 +413,6 @@ let tiny_budget = 4096
 let run_governed g f = Governor.with_ctx g f
 
 let test_executors_agree_under_tiny_budget () =
-  with_pool_size 1 @@ fun () ->
   List.iter
     (fun seed ->
       let rel, threshold = instance ~seed gen_basket_instance in
@@ -451,7 +438,6 @@ let test_executors_agree_under_tiny_budget () =
   assert_no_leaks "tiny-budget executors"
 
 let test_plan_deadline_interrupts () =
-  with_pool_size 1 @@ fun () ->
   let rel, threshold = instance ~seed:3 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
@@ -483,9 +469,8 @@ let mining_scenario name ~mode =
   let rel, threshold = instance ~seed:11 gen_basket_instance in
   let cat = catalog_of rel in
   let flock = pair_flock threshold in
-  let expected = with_pool_size 1 (fun () -> Direct.run cat flock) in
+  let expected = Direct.run cat flock in
   let run () =
-    with_pool_size 1 @@ fun () ->
     (* Every replay executes the kernels: a memo hit from the previous
        replay would skip the spill path and every point on it. *)
     Catalog.memo_clear cat;

@@ -9,9 +9,9 @@
    mixed value types).
 
    The corpus check at the bottom replays the differential suite's 100
-   seeded basket instances through every executor with the pool forced
-   to 1 and 4 domains, against [Naive.run] (generate-and-test) — the
-   full-stack analogue of the per-kernel properties. *)
+   seeded basket instances through every executor against [Naive.run]
+   (generate-and-test) — the full-stack analogue of the per-kernel
+   properties. *)
 
 module R = Qf_relational.Relation
 module V = Qf_relational.Value
@@ -19,7 +19,6 @@ module Tuple = Qf_relational.Tuple
 module Schema = Qf_relational.Schema
 module Join = Qf_relational.Join
 module Aggregate = Qf_relational.Aggregate
-module Pool = Qf_exec_pool.Pool
 open Qf_core
 open Qf_testgen.Testgen
 
@@ -121,17 +120,10 @@ let arb_rel3 =
 let semi_oracle = oracle_presence ~keep_matching:true
 let anti_oracle = oracle_presence ~keep_matching:false
 
-let join_prop ?(suffix = "") ~count op oracle op_name =
-  QCheck.Test.make ~count ~name:(op_name ^ suffix ^ ": kernel = nested-loop oracle")
+let join_prop op oracle op_name =
+  QCheck.Test.make ~count:150 ~name:(op_name ^ ": kernel = nested-loop oracle")
     arb_join_pair (fun (a, b) ->
       check_prop op_name (op a b [ "B", "B" ]) (oracle a b [ "B", "B" ]))
-
-(* The forced-parallel variant drives the chunked fan-out paths even on
-   tiny inputs ([par_threshold:0] at the call sites below); the pool
-   comes from the environment (the second runtest pass forces
-   QF_DOMAINS=4). *)
-let join_prop_par = join_prop ~suffix:" (forced parallel)" ~count:75
-let join_prop = join_prop ~count:150
 
 (* {1 Select / project} *)
 
@@ -150,9 +142,9 @@ let project_prop =
       check_prop "project" (R.project rel [ "B"; "A" ]) (oracle_project rel [ "B"; "A" ]))
 
 let project_single_prop =
-  QCheck.Test.make ~count:150 ~name:"project to one column (forced parallel): kernel = list oracle"
+  QCheck.Test.make ~count:150 ~name:"project to one column: kernel = list oracle"
     arb_rel3 (fun rel ->
-      check_prop "project1" (R.project ~par_threshold:0 rel [ "C" ]) (oracle_project rel [ "C" ]))
+      check_prop "project1" (R.project rel [ "C" ]) (oracle_project rel [ "C" ]))
 
 (* {1 Aggregation} *)
 
@@ -280,7 +272,7 @@ let test_mixed_types () =
   Alcotest.(check int) "mixed-type self join size" 5
     (R.cardinal (Join.equi rel rel [ "A", "A" ]))
 
-(* {1 The full-stack corpus under forced pool sizes} *)
+(* {1 The full-stack corpus} *)
 
 let run_executors cat flock =
   let direct = Direct.run cat flock in
@@ -302,29 +294,19 @@ let run_executors cat flock =
     "dynamic", dynamic;
   ]
 
-let test_corpus_pool_insensitive () =
-  let seeds = List.init 100 Fun.id in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_default_size (Pool.default_size ()))
-    (fun () ->
+let test_corpus_agrees_with_naive () =
+  List.iter
+    (fun seed ->
+      let rel, threshold = instance ~seed gen_basket_instance in
+      let flock = pair_flock threshold in
+      let expected = Naive.run (catalog_of rel) flock in
       List.iter
-        (fun seed ->
-          let rel, threshold = instance ~seed gen_basket_instance in
-          let flock = pair_flock threshold in
-          let expected = Naive.run (catalog_of rel) flock in
-          List.iter
-            (fun domains ->
-              Pool.set_default_size domains;
-              List.iter
-                (fun (name, got) ->
-                  if not (R.equal expected got) then
-                    Alcotest.failf
-                      "seed %d: %s at %d domains disagrees with Naive \
-                       (threshold %d)\n%s"
-                      seed name domains threshold (pp_relation rel))
-                (run_executors (catalog_of rel) flock))
-            [ 1; 4 ])
-        seeds)
+        (fun (name, got) ->
+          if not (R.equal expected got) then
+            Alcotest.failf "seed %d: %s disagrees with Naive (threshold %d)\n%s"
+              seed name threshold (pp_relation rel))
+        (run_executors (catalog_of rel) flock))
+    (List.init 100 Fun.id)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -332,9 +314,6 @@ let suite =
       join_prop (fun a b p -> Join.equi a b p) oracle_equi "equi";
       join_prop (fun a b p -> Join.semi a b p) semi_oracle "semi";
       join_prop (fun a b p -> Join.anti a b p) anti_oracle "anti";
-      join_prop_par (fun a b p -> Join.equi ~par_threshold:0 a b p) oracle_equi "equi";
-      join_prop_par (fun a b p -> Join.semi ~par_threshold:0 a b p) semi_oracle "semi";
-      join_prop_par (fun a b p -> Join.anti ~par_threshold:0 a b p) anti_oracle "anti";
       select_prop;
       project_prop;
       project_single_prop;
@@ -348,6 +327,6 @@ let suite =
       Alcotest.test_case "all-duplicate rows" `Quick test_all_duplicates;
       Alcotest.test_case "single-column relations" `Quick test_single_column;
       Alcotest.test_case "mixed value types" `Quick test_mixed_types;
-      Alcotest.test_case "100-seed corpus: pool insensitive, agrees with Naive"
-        `Quick test_corpus_pool_insensitive;
+      Alcotest.test_case "100-seed corpus: agrees with Naive" `Quick
+        test_corpus_agrees_with_naive;
     ]

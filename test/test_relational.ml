@@ -167,6 +167,116 @@ let test_statistics_frequencies () =
   check_int "all singletons" 3 (Statistics.count_at_least s1 "Item" 1);
   check_int "none at 2" 0 (Statistics.count_at_least s1 "Item" 2)
 
+module R = Relation
+module V = Value
+module T = Tuple
+
+(* {1 The catalog's index cache} *)
+
+let fresh_rel () =
+  R.of_values [ "X"; "Y" ]
+    V.[ [ Int 1; Int 10 ]; [ Int 1; Int 20 ]; [ Int 2; Int 30 ] ]
+
+let test_cache_counters () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  Catalog.reset_index_stats cat;
+  let i1 = Catalog.index cat rel [ 0 ] in
+  check_int "first build misses" 1 (snd (Catalog.index_stats cat));
+  let i2 = Catalog.index cat rel [ 0 ] in
+  Alcotest.(check (pair int int)) "second lookup hits" (1, 1)
+    (Catalog.index_stats cat);
+  check_bool "same index object reused" true (i1 == i2);
+  (* A different position list is a different cache entry. *)
+  ignore (Catalog.index cat rel [ 1 ]);
+  Alcotest.(check (pair int int)) "new positions miss" (1, 2)
+    (Catalog.index_stats cat)
+
+let test_cache_invalidated_by_add () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  let v0 = R.version rel in
+  let before = Catalog.index cat rel [ 0 ] in
+  let has_9 idx = Index.mem_codes idx [| Qf_relational.Dict.encode (V.Int 9) |] in
+  check_bool "stale key absent" false (has_9 before);
+  R.add rel (T.of_list [ V.Int 9; V.Int 90 ]);
+  check_bool "version bumped" true (R.version rel > v0);
+  Catalog.reset_index_stats cat;
+  let after = Catalog.index cat rel [ 0 ] in
+  Alcotest.(check (pair int int)) "stale entry rebuilt as a miss" (0, 1)
+    (Catalog.index_stats cat);
+  check_bool "rebuilt index sees the new tuple" true (has_9 after);
+  check_bool "the stale index still answers for its snapshot" false
+    (has_9 before);
+  (* Duplicate insertion does not invalidate. *)
+  let v1 = R.version rel in
+  R.add rel (T.of_list [ V.Int 9; V.Int 90 ]);
+  check_int "duplicate add keeps the version" v1 (R.version rel);
+  ignore (Catalog.index cat rel [ 0 ]);
+  check_int "and still hits" 1 (fst (Catalog.index_stats cat))
+
+let test_cache_shared_with_copy () =
+  let cat = Catalog.create () in
+  let rel = fresh_rel () in
+  Catalog.add cat "r" rel;
+  Catalog.reset_index_stats cat;
+  ignore (Catalog.index_on cat rel [ "X" ]);
+  let copy = Catalog.copy cat in
+  ignore (Catalog.index_on copy rel [ "X" ]);
+  check_int "copy reuses the base catalog's entries" 1
+    (fst (Catalog.index_stats cat))
+
+let test_plan_exec_cache_hits () =
+  (* A multi-step plan must hit the cache: with the semijoin rewrite and
+     symmetric-step aliasing disabled, the two FILTER steps and the final
+     step all tabulate over the *same* base relation with the same join
+     positions, so only the first step pays for the index build. *)
+  let cat =
+    Qf_workload.Market.catalog
+      { Qf_workload.Market.default with n_baskets = 120; n_items = 40; seed = 5 }
+  in
+  let flock = Qf_core.Apriori_gen.basket_flock ~pred:"baskets" ~k:2 ~support:8 in
+  let plan =
+    match
+      Qf_core.Apriori_gen.param_set_plan flock ~param_sets:[ [ "1" ]; [ "2" ] ]
+    with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  Catalog.reset_index_stats cat;
+  let options =
+    {
+      Qf_core.Plan_exec.semijoin_reduction = false;
+      symmetric_reuse = false;
+      memoize = false;
+    }
+  in
+  ignore (Qf_core.Plan_exec.run ~options cat plan);
+  let hits, misses = Catalog.index_stats cat in
+  check_bool
+    (Printf.sprintf "multi-step plan hits the index cache (%d/%d)" hits misses)
+    true (hits > 0)
+
+(* {1 Tuple and value kernels} *)
+
+let test_tuple_hash_cached () =
+  let a = T.of_list [ V.Int 1; V.str "x" ] in
+  let b = T.of_list [ V.Int 1; V.str "x" ] in
+  check_int "equal tuples, equal hashes" (T.hash a) (T.hash b);
+  check_bool "equal" true (T.equal a b);
+  let p = T.project [| 1 |] a in
+  check_bool "projection re-hashes" true (T.equal p (T.of_list [ V.str "x" ]))
+
+let test_value_interning () =
+  let tag = "qf-intern-test-unique-string" in
+  let c0 = V.interned_count () in
+  let a = V.str tag in
+  let c1 = V.interned_count () in
+  let b = V.str tag in
+  check_int "second str interns nothing new" c1 (V.interned_count ());
+  check_bool "first str interned at most one" true (c1 <= c0 + 1);
+  check_bool "interned values equal" true (V.equal a b)
+
 let suite =
   [
     Alcotest.test_case "statistics frequencies" `Quick
@@ -184,4 +294,13 @@ let suite =
     Alcotest.test_case "relation equal" `Quick test_relation_equal;
     Alcotest.test_case "hash index" `Quick test_index;
     Alcotest.test_case "statistics" `Quick test_statistics;
+    Alcotest.test_case "index cache counters" `Quick test_cache_counters;
+    Alcotest.test_case "index cache invalidation on add" `Quick
+      test_cache_invalidated_by_add;
+    Alcotest.test_case "index cache shared with copies" `Quick
+      test_cache_shared_with_copy;
+    Alcotest.test_case "plan execution hits the cache" `Quick
+      test_plan_exec_cache_hits;
+    Alcotest.test_case "tuple hash caching" `Quick test_tuple_hash_cached;
+    Alcotest.test_case "value interning" `Quick test_value_interning;
   ]
